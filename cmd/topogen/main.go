@@ -17,8 +17,11 @@
 // -mutate k additionally emits a deterministic-per-seed stream of k
 // model-preserving deltas to <out>.deltas (DESIGN.md §2.9): one "patch"
 // line per delta in text mode, back-to-back tmd1 frames in binary mode.
-// Delta i applies to the graph produced by deltas 0..i-1, so the pair of
-// files replays a dynamic-network workload exactly.
+// The deltas are written in reconstruction space, the ids PATCH /map reads:
+// delta i names nodes by their preorder labels (DFS from root 0, ascending
+// out-ports) in the graph produced by deltas 0..i-1. POSTing the graph and
+// PATCHing each delta in turn therefore replays the workload against
+// topomapd exactly.
 package main
 
 import (
@@ -26,9 +29,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 
 	"topomap/internal/graph"
+	"topomap/internal/remap"
 )
 
 func main() {
@@ -147,24 +152,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 // writeDeltas generates the deterministic delta stream for g and writes it
 // next to the graph file: one "patch" line per delta in text mode (each
 // preceded by a comment naming the pre-delta canonical digest), back-to-back
-// tmd1 frames in binary mode (each frame carries its own base digest). Delta
-// i applies to the graph produced by deltas 0..i-1; node ids are the base
-// graph's labels, so the stream replays exactly from the emitted pair of
-// files.
+// tmd1 frames in binary mode (each frame carries its own base digest). Each
+// delta is drawn on the reconstruction of the graph so far — its preorder
+// relabel from root 0, remap.Rebuild — so its node ids are the labels a
+// topomapd PATCH resolves against the cached base.
 func writeDeltas(g *graph.Graph, k int, seed int64, path, format string, stderr io.Writer) error {
-	deltas, err := graph.RandomDeltas(g, k, seed)
-	if err != nil {
-		return err
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	w := bufio.NewWriter(f)
-	cur := g.Clone()
-	for i, d := range deltas {
-		digest := cur.CanonicalDigest(0)
+	rng := rand.New(rand.NewSource(seed))
+	cur := g.Clone() // Rebuild hands back cur itself when it is already in preorder
+	for i := 0; i < k; i++ {
+		rc, _, err := remap.Rebuild(cur, 0)
+		if err != nil {
+			return err
+		}
+		ds, err := graph.RandomDeltas(rc, 1, rng.Int63())
+		if err != nil {
+			return err
+		}
+		d := ds[0]
+		digest := rc.CanonicalDigest(0)
 		if format == "binary" {
 			frame, err := graph.MarshalDeltaBinary(digest, d)
 			if err != nil {
@@ -176,7 +187,7 @@ func writeDeltas(g *graph.Graph, k int, seed int64, path, format string, stderr 
 		} else {
 			fmt.Fprintf(w, "# delta %d base=%x\n%s\n", i, digest, d.MarshalText())
 		}
-		if cur, err = d.Apply(cur); err != nil {
+		if cur, err = d.Apply(rc); err != nil {
 			return fmt.Errorf("delta stream %d failed to apply: %v", i, err)
 		}
 	}

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"topomap/internal/graph"
+	"topomap/internal/remap"
 )
 
 // TestGenerateAndCheckRoundTrip: generate a graph to a file, then validate
@@ -107,9 +111,88 @@ func TestGenerateBinaryAndCheck(t *testing.T) {
 	}
 }
 
+// deltaFrame is one decoded entry of a -mutate stream: the delta and the
+// canonical digest of the graph it applies to.
+type deltaFrame struct {
+	base graph.Digest
+	d    *graph.Delta
+}
+
+// readTextDeltas parses a text stream: each "patch" line follows a
+// "# delta i base=<hex>" comment naming its base digest.
+func readTextDeltas(t *testing.T, data []byte) []deltaFrame {
+	t.Helper()
+	var frames []deltaFrame
+	var base graph.Digest
+	for _, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if i := strings.Index(line, "base="); strings.HasPrefix(line, "#") && i >= 0 {
+			raw, err := hex.DecodeString(line[i+len("base="):])
+			if err != nil || len(raw) != len(base) {
+				t.Fatalf("bad base comment %q", line)
+			}
+			copy(base[:], raw)
+			continue
+		}
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		d, err := graph.UnmarshalDeltaString(line)
+		if err != nil {
+			t.Fatalf("delta %d: %v", len(frames), err)
+		}
+		frames = append(frames, deltaFrame{base, d})
+	}
+	return frames
+}
+
+// readBinaryDeltas splits a binary stream into its tmd1 frames.
+func readBinaryDeltas(t *testing.T, data []byte) []deltaFrame {
+	t.Helper()
+	var frames []deltaFrame
+	for len(data) > 0 {
+		size, err := graph.DeltaFrameSize(data)
+		if err != nil || size > len(data) {
+			t.Fatalf("frame %d: size %d err %v", len(frames), size, err)
+		}
+		base, d, err := graph.UnmarshalDeltaBinary(data[:size])
+		if err != nil {
+			t.Fatalf("frame %d: %v", len(frames), err)
+		}
+		frames = append(frames, deltaFrame{base, d})
+		data = data[size:]
+	}
+	return frames
+}
+
+// replayDeltas replays a stream the way topomapd serves it: starting from
+// the reconstruction of g, every frame's base digest must match the running
+// reconstruction and remap.Patch must accept its delta, and the patched
+// result must stay a valid network.
+func replayDeltas(t *testing.T, g *graph.Graph, frames []deltaFrame) {
+	t.Helper()
+	rc, st, err := remap.Rebuild(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range frames {
+		if rc.CanonicalDigest(0) != f.base {
+			t.Fatalf("frame %d: base digest does not match the running reconstruction", i)
+		}
+		res, err := remap.Patch(rc, st, f.d, remap.Options{MaxDirtyFrac: 1})
+		if err != nil {
+			t.Fatalf("frame %d (%s): remap.Patch rejects it: %v", i, f.d, err)
+		}
+		rc, st = res.Graph, res.State
+		if err := rc.Validate(); err != nil {
+			t.Fatalf("after frame %d: %v", i, err)
+		}
+	}
+}
+
 // TestGenerateMutateText: -mutate writes a replayable text delta stream to
-// <out>.deltas; parsing it back and applying every delta in order must keep
-// the evolving graph valid and match the digests recorded in the comments.
+// <out>.deltas; replaying it against the running reconstruction must keep
+// the network valid and match the digests recorded in the comments.
 func TestGenerateMutateText(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.txt")
 	var out, errOut strings.Builder
@@ -128,27 +211,11 @@ func TestGenerateMutateText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var patched int
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		d, err := graph.UnmarshalDeltaString(line)
-		if err != nil {
-			t.Fatalf("delta %d: %v", patched, err)
-		}
-		if g, err = d.Apply(g); err != nil {
-			t.Fatalf("delta %d apply: %v", patched, err)
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("after delta %d: %v", patched, err)
-		}
-		patched++
+	frames := readTextDeltas(t, data)
+	if len(frames) != 6 {
+		t.Fatalf("parsed %d deltas, want 6", len(frames))
 	}
-	if patched != 6 {
-		t.Fatalf("parsed %d deltas, want 6", patched)
-	}
+	replayDeltas(t, g, frames)
 
 	// Same seed must reproduce the byte-identical stream.
 	path2 := filepath.Join(t.TempDir(), "g.txt")
@@ -165,7 +232,7 @@ func TestGenerateMutateText(t *testing.T) {
 }
 
 // TestGenerateMutateBinary: binary mode emits back-to-back tmd1 frames whose
-// base digests chain along the evolving graph.
+// base digests chain along the evolving reconstruction.
 func TestGenerateMutateBinary(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.tmg")
 	var out, errOut strings.Builder
@@ -184,30 +251,52 @@ func TestGenerateMutateBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var frames int
-	for len(data) > 0 {
-		size, err := graph.DeltaFrameSize(data)
-		if err != nil || size > len(data) {
-			t.Fatalf("frame %d: size %d err %v", frames, size, err)
-		}
-		base, d, err := graph.UnmarshalDeltaBinary(data[:size])
-		if err != nil {
-			t.Fatalf("frame %d: %v", frames, err)
-		}
-		if got := g.CanonicalDigest(0); got != base {
-			t.Fatalf("frame %d base digest mismatch", frames)
-		}
-		if g, err = d.Apply(g); err != nil {
-			t.Fatalf("frame %d apply: %v", frames, err)
-		}
-		data = data[size:]
-		frames++
+	frames := readBinaryDeltas(t, data)
+	if len(frames) != 4 {
+		t.Fatalf("decoded %d frames, want 4", len(frames))
 	}
-	if frames != 4 {
-		t.Fatalf("decoded %d frames, want 4", frames)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatalf("final graph invalid: %v", err)
+	replayDeltas(t, g, frames)
+}
+
+// TestMutateStreamsReplayAgainstReconstruction: for families whose
+// generated labels are not already a DFS preorder (torus, er, kautz) as
+// well as the ring, every frame of every stream — text and binary, seeds
+// 1–3 — is bound to the running reconstruction's digest and accepted by
+// remap.Patch, exactly as a topomapd PATCH chain would consume it.
+func TestMutateStreamsReplayAgainstReconstruction(t *testing.T) {
+	for _, fam := range []string{"ring", "torus", "er", "kautz"} {
+		for seed := 1; seed <= 3; seed++ {
+			for _, format := range []string{"text", "binary"} {
+				path := filepath.Join(t.TempDir(), "g")
+				var out, errOut strings.Builder
+				args := []string{"-family", fam, "-n", "64", "-seed", fmt.Sprint(seed),
+					"-format", format, "-mutate", "8", "-out", path}
+				if code := run(args, &out, &errOut); code != 0 {
+					t.Fatalf("%s seed %d %s: exit %d, stderr: %s", fam, seed, format, code, errOut.String())
+				}
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := readGraph(bytes.NewReader(raw))
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := os.ReadFile(path + ".deltas")
+				if err != nil {
+					t.Fatal(err)
+				}
+				read := readBinaryDeltas
+				if format == "text" {
+					read = readTextDeltas
+				}
+				frames := read(t, data)
+				if len(frames) != 8 {
+					t.Fatalf("%s seed %d %s: %d frames, want 8", fam, seed, format, len(frames))
+				}
+				replayDeltas(t, g, frames)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 )
 
 // StronglyConnected reports whether every node can reach every other node.
@@ -84,22 +85,12 @@ func (g *Graph) SCCs() [][]int {
 						break
 					}
 				}
-				sortInts(comp)
+				slices.Sort(comp)
 				comps = append(comps, comp)
 			}
 		}
 	}
 	return comps
-}
-
-func sortInts(a []int) {
-	// insertion sort; component sizes are small relative to cost elsewhere
-	// and this avoids an import in the hot path.
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // BFSDistances returns d[v] = length of the shortest directed path from src

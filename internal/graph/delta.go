@@ -168,7 +168,8 @@ func (d *Delta) Rebase(perm []int) (*Delta, error) {
 // job (an O(N) pass this layer must not force on every small delta).
 func (d *Delta) Apply(g *Graph) (*Graph, error) {
 	touched := make(map[int]struct{}, 2*len(d.Ops))
-	for i, op := range d.Ops {
+	for i := 0; i < len(d.Ops); i++ {
+		op := d.Ops[i]
 		switch op.Kind {
 		case DeltaInsert:
 			e := op.Edge
@@ -194,8 +195,18 @@ func (d *Delta) Apply(g *Graph) (*Graph, error) {
 			touched[e.From] = struct{}{}
 			touched[e.To] = struct{}{}
 		case DeltaAddNode:
-			g = g.grow()
-			touched[g.N()-1] = struct{}{}
+			// A run of additions grows the table once: per-op growth
+			// would copy the whole graph for every added node.
+			k := 1
+			for i+k < len(d.Ops) && d.Ops[i+k].Kind == DeltaAddNode {
+				k++
+			}
+			n := g.N()
+			g = g.grow(k)
+			for v := n; v < n+k; v++ {
+				touched[v] = struct{}{}
+			}
+			i += k - 1
 		case DeltaRemoveNode:
 			v := op.Edge.From
 			var err error
@@ -251,10 +262,10 @@ func (d *Delta) MustApplyClone(g *Graph) *Graph {
 	return out
 }
 
-// grow returns a graph with one more (fully unwired) node, reusing g's rows.
-func (g *Graph) grow() *Graph {
+// grow returns a copy of g with k more (fully unwired) nodes appended.
+func (g *Graph) grow(k int) *Graph {
 	n := g.N()
-	c := New(n+1, g.delta)
+	c := New(n+k, g.delta)
 	for v := 0; v < n; v++ {
 		copy(c.out[v], g.out[v])
 		copy(c.in[v], g.in[v])

@@ -77,6 +77,43 @@ func TestDeltaNodeOps(t *testing.T) {
 	if !back.Equal(Ring(6)) {
 		t.Fatalf("unspliced graph != ring-6")
 	}
+
+	// A long run of additions (grown in one step) followed by its edges:
+	// ring-2 becomes ring-4096, exactly as when every op is applied alone.
+	const n = 4096
+	big := new(Delta)
+	for v := 2; v < n; v++ {
+		big.AddNode()
+	}
+	big.Delete(1, 1, 0, 1)
+	for v := 1; v < n; v++ {
+		big.Insert(v, 1, (v+1)%n, 1)
+	}
+	batched, err := big.Apply(Ring(2))
+	if err != nil {
+		t.Fatalf("batched apply: %v", err)
+	}
+	// The reference applies the ops one at a time, growing the table by
+	// one node per addition (Apply itself would reject a lone addition:
+	// the new node has no wired ports until its edges arrive).
+	single := Ring(2)
+	for i, op := range big.Ops {
+		e := op.Edge
+		switch op.Kind {
+		case DeltaAddNode:
+			single = single.grow(1)
+		case DeltaInsert:
+			err = single.Connect(e.From, e.OutPort, e.To, e.InPort)
+		case DeltaDelete:
+			_, err = single.Disconnect(e.From, e.OutPort)
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	if !batched.Equal(single) || !batched.Equal(Ring(n)) {
+		t.Fatal("batched add-node run differs from applying the ops one at a time")
+	}
 }
 
 func TestDeltaRemoveNodeCompaction(t *testing.T) {

@@ -157,6 +157,24 @@ func TestSCCs(t *testing.T) {
 	if !Ring(7).StronglyConnected() {
 		t.Fatal("ring must be strongly connected")
 	}
+	// Large single components under a random relabelling: Tarjan pops
+	// them in arbitrary order, and each must come back as the sorted
+	// list of every node (and Validate must pass) in O(N log N).
+	for _, big := range []*Graph{Ring(1 << 14), Torus(128, 128)} {
+		g := big.Relabel(RandomPermutation(big.N(), 3))
+		comps := g.SCCs()
+		if len(comps) != 1 || len(comps[0]) != g.N() {
+			t.Fatalf("N=%d: want one SCC of every node, got %d components", g.N(), len(comps))
+		}
+		for i, v := range comps[0] {
+			if v != i {
+				t.Fatalf("N=%d: component not sorted at position %d (node %d)", g.N(), i, v)
+			}
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("N=%d: %v", g.N(), err)
+		}
+	}
 }
 
 func TestBFSDistancesAgainstBruteForce(t *testing.T) {
