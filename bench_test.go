@@ -44,7 +44,7 @@ func BenchmarkE11Families(b *testing.B)        { benchExperiment(b, "e11") }
 func BenchmarkE12Pigeonhole(b *testing.B)      { benchExperiment(b, "e12") }
 func BenchmarkE13Batch(b *testing.B)           { benchExperiment(b, "e13") }
 func BenchmarkE14Frontier(b *testing.B)        { benchExperiment(b, "e14") }
-func BenchmarkE15Adaptive(b *testing.B)        { benchExperiment(b, "e15") }
+func BenchmarkE15Crossover(b *testing.B)       { benchExperiment(b, "e15") }
 func BenchmarkE16Serve(b *testing.B)           { benchExperiment(b, "e16") }
 func BenchmarkE17Hostile(b *testing.B)         { benchExperiment(b, "e17") }
 func BenchmarkE18Scale(b *testing.B)           { benchExperiment(b, "e18") }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	topobench [-full] [-workers n] [-sessions n] [-sched policy] [-json]
+//	topobench [-full] [-workers n] [-sessions n] [-json]
 //	          [-cpuprofile f] [-memprofile f] [experiment ids...]
 //	topobench -list
 //
@@ -15,10 +15,7 @@
 // the cap and everything else simply runs faster with more cores.
 // -sessions caps the session-pool sweep of the E13 batch-throughput
 // experiment (0 sweeps pool sizes 1/2/4/8); results are likewise identical
-// at any pool size. -sched pins the engine execution policy (auto, seq,
-// par); E15 sweeps the policies itself and E9 pins its own forced-parallel
-// dispatch, so both ignore the flag — again wall-clock only, never a
-// measured value. -json additionally writes each experiment's table to
+// at any pool size. -json additionally writes each experiment's table to
 // BENCH_<ID>.json in the working directory, so the performance trajectory
 // can be tracked machine-readably across commits. -cpuprofile and
 // -memprofile write pprof profiles on clean exit, for digging into exactly
@@ -37,7 +34,6 @@ import (
 	"time"
 
 	"topomap/internal/experiments"
-	"topomap/internal/sim"
 )
 
 func main() {
@@ -54,12 +50,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	workers := fs.Int("workers", 0, "engine worker cap (0 = GOMAXPROCS, 1 = sequential)")
 	sessions := fs.Int("sessions", 0, "session-pool cap for the E13 batch sweep (0 = sweep 1/2/4/8)")
-	sched := fs.String("sched", "auto", "engine execution policy: auto, seq, par (E9/E15 pin their own policies regardless)")
 	jsonOut := fs.Bool("json", false, "also write each experiment's table to BENCH_<ID>.json")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file on clean exit")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on clean exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: topobench [-full] [-workers n] [-sessions n] [-sched policy] [-json] [-cpuprofile f] [-memprofile f] [experiment ids...]\n")
+		fmt.Fprintf(stderr, "usage: topobench [-full] [-workers n] [-sessions n] [-json] [-cpuprofile f] [-memprofile f] [experiment ids...]\n")
 		fmt.Fprintf(stderr, "experiments: %s\n", strings.Join(experiments.IDs(), " "))
 		fs.PrintDefaults()
 	}
@@ -80,12 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	experiments.Workers = *workers
 	experiments.Sessions = *sessions
-	policy, err := sim.ParseSchedPolicy(*sched)
-	if err != nil {
-		fmt.Fprintf(stderr, "topobench: %v\n", err)
-		return 2
-	}
-	experiments.Sched = policy
 	scale := experiments.Quick
 	if *full {
 		scale = experiments.Full

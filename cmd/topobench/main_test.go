@@ -42,29 +42,17 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
-// TestBadSchedPolicy: an unknown -sched value must exit 2 with a
-// diagnostic naming the accepted policies.
-func TestBadSchedPolicy(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-sched", "warp", "e3"}, &out, &errOut); code != 2 {
-		t.Fatalf("bad -sched should exit 2, got %d", code)
-	}
-	if !strings.Contains(errOut.String(), "unknown scheduling policy") {
-		t.Fatalf("missing diagnostic: %s", errOut.String())
-	}
-}
-
 // TestProfileFlags: -cpuprofile and -memprofile must write non-empty pprof
-// files on clean exit (alongside a real, small experiment run under a
-// pinned -sched policy).
+// files on clean exit (alongside a real, small experiment run on the
+// sequential engine).
 func TestProfileFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end experiment run skipped in -short mode")
 	}
 	t.Chdir(t.TempDir())
-	t.Cleanup(func() { experiments.Sched = 0; experiments.Workers = 0 })
+	t.Cleanup(func() { experiments.Workers = 0 })
 	var out, errOut strings.Builder
-	code := run([]string{"-sched", "seq", "-cpuprofile", "cpu.pprof", "-memprofile", "mem.pprof", "e3"}, &out, &errOut)
+	code := run([]string{"-workers", "1", "-cpuprofile", "cpu.pprof", "-memprofile", "mem.pprof", "e3"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("e3 run exit code %d, stderr: %s", code, errOut.String())
 	}

@@ -57,9 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		edges   = fs.Bool("edges", false, "print the mapped edge list")
 		maxTick = fs.Int("maxticks", 0, "tick budget (0 = automatic)")
 		workers = fs.Int("workers", 0, "engine workers per tick (0 = GOMAXPROCS, 1 = sequential; -trace forces 1)")
-		dense   = fs.Bool("dense", false, "disable sparse frontier scheduling (dense reference sweep; identical results, O(N) slower ticks)")
-		sched   = fs.String("sched", "auto", "execution policy: auto (adaptive burst/parallel), seq (per-tick sequential), par (force parallel); identical results, different wall-clock")
-		seqThr  = fs.Int("seqthreshold", 0, "adaptive policy: frontier size below which ticks run as a sequential burst (0 = engine default)")
 		dropRt  = fs.Float64("droprate", 0, "fault injection: probability each emitted symbol is lost in flight (deterministic per -faultseed)")
 		faultSd = fs.Int64("faultseed", 1, "fault injection: seed of the message-loss hash")
 		crash   = fs.String("crash", "", "fault injection: fail-stop crash as node@tick (e.g. 5@200); repeatable with commas")
@@ -73,11 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	policy, err := sim.ParseSchedPolicy(*sched)
-	if err != nil {
-		fmt.Fprintf(stderr, "topomap: %v\n", err)
-		return 2
-	}
 	if *format != "text" && *format != "binary" {
 		fmt.Fprintf(stderr, "topomap: -format %q: want text or binary\n", *format)
 		return 2
@@ -113,14 +105,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	eng = sim.New(g, sim.Options{
-		Root:         *root,
-		MaxTicks:     *maxTick,
-		Workers:      *workers,
-		Naive:        *dense,
-		Sched:        policy,
-		SeqThreshold: *seqThr,
-		Faults:       faults,
-		Transcript:   m.Process,
+		Root:       *root,
+		MaxTicks:   *maxTick,
+		Workers:    *workers,
+		Faults:     faults,
+		Transcript: m.Process,
 	}, gtd.NewFactory(cfg))
 	st, err := eng.Run()
 	if err != nil {
@@ -151,8 +140,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "faults:  droprate=%g dropped=%d crashes=%d\n",
 				faults.DropRate, st.Dropped, len(faults.Crashes))
 		}
-		fmt.Fprintf(stdout, "sched:   policy=%v seq-ticks=%d par-ticks=%d bursts=%d\n",
-			policy, st.SeqTicks, st.ParTicks, st.Bursts)
+		fmt.Fprintf(stdout, "sched:   seq-ticks=%d par-ticks=%d bursts=%d\n",
+			st.SeqTicks, st.ParTicks, st.Bursts)
 	}
 	if *edges {
 		for _, e := range mapped.Edges() {

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"topomap/internal/graph"
+	"topomap/internal/gtd"
+	"topomap/internal/mapper"
+	"topomap/internal/sim"
 )
 
 // TestMapRingEndToEnd: a tiny full protocol run through the CLI surface,
@@ -25,33 +29,10 @@ func TestMapRingEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMapDenseMatchesSparse: the -dense reference sweep must report the
-// same tick/message counts as the default frontier scheduler.
-func TestMapDenseMatchesSparse(t *testing.T) {
-	line := func(args ...string) string {
-		t.Helper()
-		var out, errOut strings.Builder
-		if code := run(args, &out, &errOut); code != 0 {
-			t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
-		}
-		for _, l := range strings.Split(out.String(), "\n") {
-			if strings.HasPrefix(l, "mapped:") {
-				return l
-			}
-		}
-		t.Fatal("no mapped: line")
-		return ""
-	}
-	sparse := line("-family", "torus", "-n", "12", "-workers", "1")
-	dense := line("-family", "torus", "-n", "12", "-workers", "1", "-dense")
-	if sparse != dense {
-		t.Fatalf("dense run diverges:\nsparse: %s\ndense:  %s", sparse, dense)
-	}
-}
-
-// TestMapSchedPolicies: every -sched policy maps identically; the stats
-// output reports the policy and telemetry; a bad policy exits 2.
-func TestMapSchedPolicies(t *testing.T) {
+// TestMapMatchesRunOneLoop: the CLI maps identically at any worker count,
+// and identically to per-tick dispatch (a loop of sim.Engine.RunOne on the
+// same network); -stats reports the dispatch telemetry.
+func TestMapMatchesRunOneLoop(t *testing.T) {
 	mapped := func(args ...string) (string, string) {
 		t.Helper()
 		var out, errOut strings.Builder
@@ -69,19 +50,43 @@ func TestMapSchedPolicies(t *testing.T) {
 		}
 		return m, s
 	}
-	auto, schedLine := mapped("-family", "kautz", "-n", "12", "-stats", "-sched", "auto")
-	if !strings.Contains(schedLine, "policy=auto") || !strings.Contains(schedLine, "bursts=") {
-		t.Fatalf("stats should report the scheduler telemetry: %q", schedLine)
+	want, schedLine := mapped("-family", "kautz", "-n", "12", "-stats")
+	if !strings.Contains(schedLine, "seq-ticks=") || !strings.Contains(schedLine, "bursts=") {
+		t.Fatalf("stats should report the dispatch telemetry: %q", schedLine)
 	}
-	for _, policy := range []string{"seq", "sequential", "par", "parallel"} {
-		got, _ := mapped("-family", "kautz", "-n", "12", "-stats", "-sched", policy)
-		if got != auto {
-			t.Fatalf("-sched %s diverges:\nauto: %s\n%s:  %s", policy, auto, policy, got)
+	for _, w := range []string{"1", "2", "8"} {
+		if got, _ := mapped("-family", "kautz", "-n", "12", "-stats", "-workers", w); got != want {
+			t.Fatalf("-workers %s diverges:\ndefault: %s\n-workers %s: %s", w, want, w, got)
 		}
 	}
-	var out, errOut strings.Builder
-	if code := run([]string{"-family", "ring", "-n", "6", "-sched", "warp"}, &out, &errOut); code != 2 {
-		t.Fatalf("bad -sched should exit 2, got %d", code)
+
+	g, err := loadGraph("", "kautz", 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mapper.New(g.Delta())
+	eng := sim.New(g, sim.Options{Transcript: m.Process}, gtd.NewFactory(gtd.DefaultConfig()))
+	for {
+		more, err := eng.RunOne()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more {
+			break
+		}
+	}
+	r, err := m.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	if st.Bursts != 0 {
+		t.Fatalf("a RunOne loop entered %d bursts", st.Bursts)
+	}
+	loop := fmt.Sprintf("mapped:  N=%d edges=%d in %d ticks, %d messages, %d transactions",
+		r.N(), r.NumEdges(), st.Ticks, st.NonBlankMessages, m.Transactions)
+	if loop != want {
+		t.Fatalf("RunOne loop diverges from the CLI:\nCLI:  %s\nloop: %s", want, loop)
 	}
 }
 

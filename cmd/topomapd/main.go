@@ -271,14 +271,14 @@ type progressEvent struct {
 
 // mapResult is the wire form of a completed mapping.
 type mapResult struct {
-	N            int    `json:"n"`
-	Delta        int    `json:"delta"`
-	Edges        int    `json:"edges"`
-	Root         int    `json:"root"`
-	Ticks        int    `json:"ticks"`
-	Messages     int64  `json:"messages"`
-	Transactions int    `json:"transactions"`
-	Exact        bool   `json:"exact"`
+	N            int   `json:"n"`
+	Delta        int   `json:"delta"`
+	Edges        int   `json:"edges"`
+	Root         int   `json:"root"`
+	Ticks        int   `json:"ticks"`
+	Messages     int64 `json:"messages"`
+	Transactions int   `json:"transactions"`
+	Exact        bool  `json:"exact"`
 	// Remapped marks a result whose entry was produced by a PATCH-time
 	// structural patch, not an engine run: the topology is authoritative but
 	// ticks/messages/transactions are zero (no protocol ran).

@@ -36,18 +36,6 @@ type Options struct {
 	// Workers is the engine's per-tick worker count (0 = GOMAXPROCS,
 	// 1 = sequential); any value yields the identical transcript.
 	Workers int
-	// Dense disables the engine's sparse frontier scheduler: every
-	// processor steps every tick (sim.Options.Naive). The run is
-	// observationally identical and O(N) slower per tick — it exists for
-	// the dense-vs-sparse equivalence harness (E14) and debugging.
-	Dense bool
-	// Sched selects the engine's execution policy (sim.SchedAuto bursts
-	// small-frontier ticks sequentially; the Force policies pin the
-	// dispatch). Every policy yields identical results.
-	Sched sim.SchedPolicy
-	// SeqThreshold tunes the adaptive policy's sequential-burst
-	// crossover; 0 keeps the engine default.
-	SeqThreshold int
 	// Config overrides the paper's speed assignment; nil uses defaults.
 	Config *gtd.Config
 	// Faults, if non-nil, injects deterministic message loss and node
@@ -234,17 +222,14 @@ func (s *Session) run(ctx context.Context, g *graph.Graph, root int) (*RunResult
 		obs = append(obs, s.opts.Observers...)
 		obs = append(obs, progressTap{s})
 		s.eng = sim.New(g, sim.Options{
-			Root:         root,
-			MaxTicks:     s.opts.MaxTicks,
-			Validate:     s.opts.Validate,
-			Workers:      s.opts.Workers,
-			Naive:        s.opts.Dense,
-			Sched:        s.opts.Sched,
-			SeqThreshold: s.opts.SeqThreshold,
-			Faults:       s.opts.Faults,
-			Transcript:   s.m.Process,
-			Observers:    obs,
-			RetainPool:   true,
+			Root:       root,
+			MaxTicks:   s.opts.MaxTicks,
+			Validate:   s.opts.Validate,
+			Workers:    s.opts.Workers,
+			Faults:     s.opts.Faults,
+			Transcript: s.m.Process,
+			Observers:  obs,
+			RetainPool: true,
 			Cancel: func() error {
 				if s.ctx != nil {
 					return s.ctx.Err()

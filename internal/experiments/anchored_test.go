@@ -54,7 +54,18 @@ func anchorCases() []anchorCase {
 	}
 }
 
-func (c anchorCase) run(t *testing.T, opts sim.Options) string {
+// runOneLoop drives an engine tick by tick through RunOne: per-tick
+// dispatch with no sequential burst.
+func runOneLoop(e *sim.Engine) (sim.Stats, error) {
+	for {
+		more, err := e.RunOne()
+		if err != nil || !more {
+			return e.Stats(), err
+		}
+	}
+}
+
+func (c anchorCase) run(t *testing.T, opts sim.Options, drive func(*sim.Engine) (sim.Stats, error)) string {
 	t.Helper()
 	g, err := graph.Build(c.fam, c.n, 9)
 	if err != nil {
@@ -63,7 +74,7 @@ func (c anchorCase) run(t *testing.T, opts sim.Options) string {
 	if c.faults != nil {
 		opts.Faults = c.faults
 	}
-	r, err := runFingerprinted(g, opts, c.window, false)
+	r, err := runFingerprinted(g, opts, c.window, false, drive)
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
@@ -78,9 +89,8 @@ func TestAnchoredFingerprints(t *testing.T) {
 		t.Skip("anchored fingerprint suite skipped in -short mode")
 	}
 	for _, c := range anchorCases() {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
-			if got := c.run(t, sim.Options{}); got != c.want {
+			if got := c.run(t, sim.Options{}, (*sim.Engine).Run); got != c.want {
 				t.Errorf("fingerprint diverged from pre-refactor anchor\n got  %s\n want %s", got, c.want)
 			}
 		})
@@ -115,11 +125,13 @@ func TestLargeNSmoke(t *testing.T) {
 	}
 }
 
-// TestAnchoredSchedulerMatrix replays a subset of anchors across the full
-// scheduling surface — dense vs sparse substrate, all three execution
-// policies, worker counts 1/2/4/8 — and demands the recorded fingerprint
-// from every combination. The expensive cells (full dense sweeps of the
-// 100000-node graphs) keep the matrix honest without keeping CI hostage:
+// TestAnchoredSchedulerMatrix replays a subset of anchors across the
+// dispatch surface — dense vs sparse substrate × worker counts 1/2/4/8 ×
+// the default threshold ("auto") vs ParallelThreshold 1, every non-empty
+// tick fanned out ("parallel") — plus per-tick RunOne dispatch
+// ("sequential"), and demands the recorded fingerprint from every
+// combination. The expensive cells (full dense sweeps of the
+// 100000-node graph) keep the matrix honest without keeping CI hostage:
 // dense large-N runs once, at the highest worker count.
 func TestAnchoredSchedulerMatrix(t *testing.T) {
 	if testing.Short() {
@@ -127,42 +139,24 @@ func TestAnchoredSchedulerMatrix(t *testing.T) {
 	}
 	type cfg struct {
 		dense   bool
-		sched   sim.SchedPolicy
+		mode    string // auto, parallel, or sequential
 		workers int
 	}
-	name := func(c cfg) string {
-		sub := "sparse"
-		if c.dense {
-			sub = "dense"
+	grid := func(substrates ...bool) []cfg {
+		var cs []cfg
+		for _, dense := range substrates {
+			for _, w := range []int{1, 2, 4, 8} {
+				cs = append(cs, cfg{dense, "auto", w}, cfg{dense, "parallel", w})
+			}
 		}
-		return fmt.Sprintf("%s-%v-w%d", sub, c.sched, c.workers)
+		return cs
 	}
 	matrix := map[string][]cfg{
-		// Cheap windowed faulted run: the full policy × worker grid,
-		// both substrates.
-		"ring1024-faulted": {
-			{false, sim.SchedAuto, 1}, {false, sim.SchedAuto, 2},
-			{false, sim.SchedAuto, 4}, {false, sim.SchedAuto, 8},
-			{false, sim.SchedForceSequential, 1}, {false, sim.SchedForceSequential, 8},
-			{false, sim.SchedForceParallel, 2}, {false, sim.SchedForceParallel, 8},
-			{true, sim.SchedAuto, 1}, {true, sim.SchedAuto, 8},
-			{true, sim.SchedForceParallel, 4},
-		},
-		// Full-termination map: policies and worker extremes.
-		"ring64": {
-			{false, sim.SchedAuto, 1}, {false, sim.SchedAuto, 8},
-			{false, sim.SchedForceSequential, 1},
-			{false, sim.SchedForceParallel, 2}, {false, sim.SchedForceParallel, 8},
-			{true, sim.SchedAuto, 1},
-		},
-		// Large windowed map: sparse grid plus one dense high-worker run.
-		"ring100k": {
-			{false, sim.SchedAuto, 1}, {false, sim.SchedAuto, 2},
-			{false, sim.SchedAuto, 4}, {false, sim.SchedAuto, 8},
-			{false, sim.SchedForceSequential, 1},
-			{false, sim.SchedForceParallel, 8},
-			{true, sim.SchedAuto, 8},
-		},
+		"ring1024-faulted": append(grid(false, true),
+			cfg{false, "sequential", 1}, cfg{false, "sequential", 8}),
+		"ring64": append(grid(false, true), cfg{false, "sequential", 1}),
+		"ring100k": append(grid(false),
+			cfg{true, "auto", 8}, cfg{false, "sequential", 1}),
 	}
 	cases := map[string]anchorCase{}
 	for _, c := range anchorCases() {
@@ -174,16 +168,23 @@ func TestAnchoredSchedulerMatrix(t *testing.T) {
 			t.Fatalf("matrix references unknown anchor %s", cname)
 		}
 		for _, cf := range cfgs {
-			c, cf := c, cf
-			t.Run(c.name+"/"+name(cf), func(t *testing.T) {
+			sub := "sparse"
+			if cf.dense {
+				sub = "dense"
+			}
+			name := fmt.Sprintf("%s-%s-w%d", sub, cf.mode, cf.workers)
+			t.Run(c.name+"/"+name, func(t *testing.T) {
 				t.Parallel()
-				got := c.run(t, sim.Options{
-					Naive:   cf.dense,
-					Sched:   cf.sched,
-					Workers: cf.workers,
-				})
-				if got != c.want {
-					t.Errorf("fingerprint diverged under %s\n got  %s\n want %s", name(cf), got, c.want)
+				opts := sim.Options{Naive: cf.dense, Workers: cf.workers}
+				drive := (*sim.Engine).Run
+				switch cf.mode {
+				case "parallel":
+					opts.ParallelThreshold = 1
+				case "sequential":
+					drive = runOneLoop
+				}
+				if got := c.run(t, opts, drive); got != c.want {
+					t.Errorf("fingerprint diverged under %s\n got  %s\n want %s", name, got, c.want)
 				}
 			})
 		}

@@ -30,12 +30,6 @@ var Workers int
 // are identical at any pool size — only throughput varies.
 var Sessions int
 
-// Sched is the engine execution policy the harness runs with (default
-// sim.SchedAuto). cmd/topobench -sched sets it. Like Workers it changes
-// wall-clock times only, never a measured table value; E15 ignores it and
-// sweeps all three policies explicitly.
-var Sched sim.SchedPolicy
-
 // maxWorkers resolves the harness worker cap.
 func maxWorkers() int {
 	if Workers > 0 {
@@ -139,7 +133,7 @@ var registry = []struct {
 	{"e12", E12Pigeonhole},
 	{"e13", E13BatchThroughput},
 	{"e14", E14FrontierScheduler},
-	{"e15", E15AdaptiveScheduler},
+	{"e15", E15DispatchCrossover},
 	{"e16", E16ServedThroughput},
 	{"e17", E17Hostile},
 	{"e18", E18Scale},
@@ -192,7 +186,7 @@ func runGTD(g *graph.Graph, root int, cfg gtd.Config, hooks gtd.Hooks, obs []sim
 // equivalence tests assert it); the sweep just allocates and starts up
 // far less.
 func newSweepSession(cfg gtd.Config) *core.Session {
-	return core.NewSession(core.Options{MaxTicks: 64_000_000, Workers: maxWorkers(), Sched: Sched, Config: &cfg})
+	return core.NewSession(core.Options{MaxTicks: 64_000_000, Workers: maxWorkers(), Config: &cfg})
 }
 
 // runSessionGTD executes one run of a sweep on a reusable session.
@@ -233,7 +227,6 @@ func runGTDBudget(g *graph.Graph, root int, cfg gtd.Config, hooks gtd.Hooks, obs
 		MaxTicks:          budget,
 		Workers:           workers,
 		ParallelThreshold: parThreshold,
-		Sched:             Sched,
 		Transcript:        m.Process,
 		Observers:         obs,
 	}, gtd.NewFactory(cfg))

@@ -365,6 +365,19 @@ func checkInvariants(t *testing.T, id string, table *Table) {
 				}
 			}
 		}
+	case "e15":
+		// Every threshold and worker count must map identically; a
+		// 16-node threshold fans out some ticks of every window, so the
+		// pool path is exercised, not just timed.
+		id, par := col(table, "identical"), col(table, "T16 par%")
+		for _, row := range table.Rows {
+			if row[id] != "yes" {
+				t.Errorf("E15 dispatch divergence: %v", row)
+			}
+			if v, _ := strconv.ParseFloat(row[par], 64); v <= 0 {
+				t.Errorf("E15 T16 fanned out no tick: %v", row)
+			}
+		}
 	}
 }
 

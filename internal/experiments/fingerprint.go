@@ -18,10 +18,11 @@ import (
 // transcript stream plus the scheduler-invariant statistics and the error
 // outcome — so two runs are byte-comparable by a single string. window > 0
 // bounds the run by a tick budget (ErrMaxTicks is then the expected,
-// shared outcome); wall is measured around the run only.
+// shared outcome); drive runs the engine (normally (*sim.Engine).Run) and
+// wall is measured around it only.
 //
-// includeSteps folds StepCalls into the fingerprint: execution policies at
-// a fixed scheduling substrate (E15) must agree on it, while dense and
+// includeSteps folds StepCalls into the fingerprint: dispatch paths at a
+// fixed scheduling substrate (E15) must agree on it, while dense and
 // sparse substrates (E14) differ on it by design.
 type fingerprintRun struct {
 	stats       sim.Stats
@@ -29,7 +30,8 @@ type fingerprintRun struct {
 	fingerprint string
 }
 
-func runFingerprinted(g *graph.Graph, opts sim.Options, window int, includeSteps bool) (*fingerprintRun, error) {
+func runFingerprinted(g *graph.Graph, opts sim.Options, window int, includeSteps bool,
+	drive func(*sim.Engine) (sim.Stats, error)) (*fingerprintRun, error) {
 	opts.MaxTicks = 64_000_000
 	if window > 0 {
 		opts.MaxTicks = window
@@ -48,7 +50,7 @@ func runFingerprinted(g *graph.Graph, opts sim.Options, window int, includeSteps
 	}
 	eng := sim.New(g, opts, gtd.NewFactory(gtd.DefaultConfig()))
 	start := time.Now()
-	stats, err := eng.Run()
+	stats, err := drive(eng)
 	wall := time.Since(start)
 	if err != nil && !(window > 0 && errors.Is(err, sim.ErrMaxTicks)) {
 		return nil, err

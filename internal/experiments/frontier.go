@@ -87,7 +87,6 @@ func E14FrontierScheduler(s Scale) (*Table, error) {
 func runFrontierMode(g *graph.Graph, naive bool, window int) (*fingerprintRun, error) {
 	return runFingerprinted(g, sim.Options{
 		Naive:   naive,
-		Sched:   Sched,   // wall-clock knob only (topobench -sched)
 		Workers: Workers, // wall-clock knob only; 0 = GOMAXPROCS
-	}, window, false)
+	}, window, false, (*sim.Engine).Run)
 }

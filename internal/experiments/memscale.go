@@ -116,7 +116,6 @@ func e18Run(fam graph.Family, n int) (*e18Row, error) {
 	eng := sim.New(g, sim.Options{
 		MaxTicks: e18Window,
 		Workers:  maxWorkers(),
-		Sched:    Sched,
 		Transcript: func(e sim.TranscriptEntry) {
 			var buf [8]byte
 			binary.LittleEndian.PutUint64(buf[:], uint64(e.Tick))

@@ -45,18 +45,15 @@ func E9Throughput(s Scale) (*Table, error) {
 		var baseSteps int64
 		for _, workers := range workerSweep() {
 			m := mapper.New(g.Delta())
-			// SchedForceParallel (with ParallelThreshold 1) forces
-			// every live tick through the parallel scheduler: the
-			// sweep measures the sharded engine itself, not the
-			// adaptive dispatch, which would quietly burst the
-			// smaller cases sequentially. E9 therefore pins its own
-			// policy and ignores topobench -sched, like E15.
+			// ParallelThreshold 1 forces every non-empty tick
+			// through the parallel path: the sweep measures the
+			// sharded engine itself, not the dispatch rule, which
+			// would run these narrow frontiers sequentially.
 			eng := sim.New(g, sim.Options{
 				Root:              0,
 				MaxTicks:          64_000_000,
 				Workers:           workers,
 				ParallelThreshold: 1,
-				Sched:             sim.SchedForceParallel,
 				Transcript:        m.Process,
 			}, gtd.NewFactory(gtd.DefaultConfig()))
 			start := time.Now()

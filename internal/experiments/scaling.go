@@ -119,7 +119,6 @@ func standaloneRCA(g *graph.Graph, root, from int) (int, error) {
 	eng := sim.New(g, sim.Options{
 		Root:              root,
 		MaxTicks:          16_000_000,
-		Sched:             Sched,
 		Workers:           maxWorkers(),
 		StopWhenQuiescent: true,
 	}, gtd.NewFactory(cfg))
@@ -187,7 +186,6 @@ func standaloneBCA(g *graph.Graph, from, inPort int) (int, error) {
 	eng := sim.New(g, sim.Options{
 		Root:              0,
 		MaxTicks:          16_000_000,
-		Sched:             Sched,
 		Workers:           maxWorkers(),
 		StopWhenQuiescent: true,
 	}, gtd.NewFactory(cfg))

@@ -81,6 +81,11 @@ type Result struct {
 // equals the protocol's RunResult.Topology for the same (g, root); it exists
 // as the from-scratch entry point (deriving state for a graph mapped by the
 // engine) and as the full-rebuild comparator in E21.
+//
+// When g is already in DFS preorder from root (root 0, every node's label
+// its preorder rank), the returned graph is g itself, not a copy: a caller
+// that mutates the result — with Delta.Apply, say — mutates g too, and must
+// Clone (or use Delta.ApplyClone) first.
 func Rebuild(g *graph.Graph, root int) (*graph.Graph, *State, error) {
 	n := g.N()
 	if root < 0 || root >= n {

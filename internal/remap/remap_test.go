@@ -7,7 +7,10 @@ import (
 
 	"topomap"
 	"topomap/internal/graph"
+	"topomap/internal/gtd"
+	"topomap/internal/mapper"
 	"topomap/internal/remap"
+	"topomap/internal/sim"
 )
 
 // mapEngine runs the real protocol and returns the reconstruction.
@@ -19,6 +22,34 @@ func mapEngine(t *testing.T, g *graph.Graph, root int, o topomap.Options) *graph
 		t.Fatalf("engine map: %v", err)
 	}
 	return res.Topology
+}
+
+// mapSim maps g on a bare engine feeding the transcript mapper, driven by
+// a loop of sim.Engine.RunOne (per-tick dispatch, no sequential burst) when
+// stepwise is set and by Run otherwise.
+func mapSim(t *testing.T, g *graph.Graph, root int, o sim.Options, stepwise bool) *graph.Graph {
+	t.Helper()
+	m := mapper.New(g.Delta())
+	o.Root, o.Transcript = root, m.Process
+	eng := sim.New(g, o, gtd.NewFactory(gtd.DefaultConfig()))
+	if stepwise {
+		for {
+			more, err := eng.RunOne()
+			if err != nil {
+				t.Fatalf("engine map: %v", err)
+			}
+			if !more {
+				break
+			}
+		}
+	} else if _, err := eng.Run(); err != nil {
+		t.Fatalf("engine map: %v", err)
+	}
+	r, err := m.Finish()
+	if err != nil {
+		t.Fatalf("engine map: %v", err)
+	}
+	return r
 }
 
 // familyCorpus is the shared truth-graph set: every family class, regular
@@ -97,13 +128,9 @@ func corpusDelta(r *graph.Graph, st *remap.State) *graph.Delta {
 // TestRemapMatchesEngine is the package's correctness anchor: for every
 // corpus family, a patched reconstruction must be graph.Equal to — and share
 // its CanonicalDigest with — the engine's from-scratch map of the mutated
-// graph, across worker counts and scheduler policies.
+// graph, under Workers: 1, under per-tick RunOne dispatch, and
+// with four workers fanning out every tick.
 func TestRemapMatchesEngine(t *testing.T) {
-	engineOpts := []topomap.Options{
-		{Workers: 1},
-		{Workers: 4, Sched: topomap.SchedForceParallel},
-		{Workers: 2, Sched: topomap.SchedForceSequential},
-	}
 	for _, tc := range familyCorpus() {
 		r0 := mapEngine(t, tc.g, tc.root, topomap.Options{})
 		st, err := remap.Derive(r0)
@@ -120,14 +147,20 @@ func TestRemapMatchesEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: apply: %v", tc.name, err)
 		}
-		for i, o := range engineOpts {
-			want := mapEngine(t, mutated, 0, o)
-			if !res.Graph.Equal(want) {
-				t.Fatalf("%s: engine opts %d: patched reconstruction != engine full map (delta %s)",
-					tc.name, i, d)
+		engines := []struct {
+			name string
+			want *graph.Graph
+		}{
+			{"Workers: 1", mapEngine(t, mutated, 0, topomap.Options{Workers: 1})},
+			{"RunOne", mapSim(t, mutated, 0, sim.Options{}, true)},
+			{"fan-out", mapSim(t, mutated, 0, sim.Options{Workers: 4, ParallelThreshold: 1}, false)},
+		}
+		for _, e := range engines {
+			if !res.Graph.Equal(e.want) {
+				t.Fatalf("%s: patched reconstruction != %s full map (delta %s)", tc.name, e.name, d)
 			}
-			if res.Graph.CanonicalDigest(0) != want.CanonicalDigest(0) {
-				t.Fatalf("%s: engine opts %d: digest mismatch", tc.name, i)
+			if res.Graph.CanonicalDigest(0) != e.want.CanonicalDigest(0) {
+				t.Fatalf("%s: %s: digest mismatch", tc.name, e.name)
 			}
 		}
 		// Patched state must keep working: patch again on top.
@@ -323,6 +356,26 @@ func TestRebuildMatchesEngineOffRoot(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("%s: structural rebuild != engine map", tc.name)
 		}
+	}
+}
+
+// TestRebuildAliasesPreorderInput pins Rebuild's documented aliasing: a
+// graph already in preorder from root 0 comes back as the same *Graph, and
+// any other input comes back as a fresh graph.
+func TestRebuildAliasesPreorderInput(t *testing.T) {
+	canon, _, err := remap.Rebuild(graph.Torus(4, 5), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _, err := remap.Rebuild(canon, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != canon {
+		t.Fatal("Rebuild of a preorder graph should return its input itself")
+	}
+	if other, _, _ := remap.Rebuild(canon, 1); other == canon {
+		t.Fatal("Rebuild from another root must not return its input")
 	}
 }
 

@@ -50,10 +50,10 @@ func (s CacheState) String() string {
 // optionsFingerprint hashes every run option that can influence a job's
 // observable outcome — result bits or statistics — into the cache key's
 // options half. The engine's determinism guarantee makes results invariant
-// in Workers and Sched, but RunResult.Stats carries scheduler telemetry
+// in Workers, but RunResult.Stats carries dispatch telemetry
 // (SeqTicks/ParTicks/Bursts) that is not, so the fingerprint is
 // conservative: any difference in MaxTicks, validation, worker count,
-// substrate, policy, protocol speeds, or fault plan isolates the entry.
+// protocol speeds, or fault plan isolates the entry.
 // The root is deliberately absent — it is anchored inside the canonical
 // digest, which is the whole point of content addressing (isomorphic
 // requests share).
@@ -75,9 +75,6 @@ func optionsFingerprint(o core.Options) uint64 {
 	i(o.MaxTicks)
 	b(o.Validate)
 	i(o.Workers)
-	b(o.Dense)
-	i(int(o.Sched))
-	i(o.SeqThreshold)
 	if o.Config == nil {
 		u64(0)
 	} else {

@@ -335,9 +335,6 @@ func TestOptionsFingerprintIsolation(t *testing.T) {
 		"maxticks": {Workers: 1, MaxTicks: 2000},
 		"validate": {Workers: 1, MaxTicks: 1000, Validate: true},
 		"workers":  {Workers: 4, MaxTicks: 1000},
-		"dense":    {Workers: 1, MaxTicks: 1000, Dense: true},
-		"sched":    {Workers: 1, MaxTicks: 1000, Sched: sim.SchedForceParallel},
-		"seqthr":   {Workers: 1, MaxTicks: 1000, SeqThreshold: 512},
 		"config":   {Workers: 1, MaxTicks: 1000, Config: &gtd.Config{SnakeDelay: 3}},
 		"faults": {Workers: 1, MaxTicks: 1000,
 			Faults: &sim.FaultPlan{Seed: 7, DropRate: 0.01}},

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -12,18 +13,46 @@ import (
 	"topomap/internal/wire"
 )
 
-// schedTranscript runs the full protocol under one scheduling policy and
-// renders the root transcript, the policy-invariant statistics
-// (Stats.Observables — the telemetry counters differ across policies by
-// design), and the failure outcome into a canonical string.
-func schedTranscript(t *testing.T, g *graph.Graph, policy sim.SchedPolicy, workers, root, maxTicks int) (string, sim.Stats) {
+// dispatch names one way of driving an engine. Every way must produce the
+// same observables; only the telemetry counters differ.
+type dispatch struct {
+	name      string
+	threshold int  // Options.ParallelThreshold (0 = the measured default)
+	stepwise  bool // a loop of RunOne instead of Run: per-tick dispatch, no burst
+}
+
+var (
+	dispatchRun    = dispatch{"run", 0, false}
+	dispatchFanout = dispatch{"fanout", 1, false}
+	dispatchRunOne = dispatch{"runone", 0, true}
+	dispatches     = []dispatch{dispatchRun, dispatchFanout, dispatchRunOne}
+)
+
+// drive runs eng to completion the way d says.
+func (d dispatch) drive(eng *sim.Engine) (sim.Stats, error) {
+	if !d.stepwise {
+		return eng.Run()
+	}
+	for {
+		more, err := eng.RunOne()
+		if err != nil || !more {
+			return eng.Stats(), err
+		}
+	}
+}
+
+// schedTranscript runs the full protocol under one dispatch and renders
+// the root transcript, the dispatch-invariant statistics
+// (Stats.Observables — the telemetry counters differ by design), and the
+// failure outcome into a canonical string.
+func schedTranscript(t *testing.T, g *graph.Graph, d dispatch, workers, root, maxTicks int) (string, sim.Stats) {
 	t.Helper()
 	var b strings.Builder
 	eng := sim.New(g, sim.Options{
-		Root:     root,
-		MaxTicks: maxTicks,
-		Sched:    policy,
-		Workers:  workers,
+		Root:              root,
+		MaxTicks:          maxTicks,
+		ParallelThreshold: d.threshold,
+		Workers:           workers,
 		Transcript: func(e sim.TranscriptEntry) {
 			fmt.Fprintf(&b, "%d:", e.Tick)
 			for p, m := range e.In {
@@ -39,39 +68,40 @@ func schedTranscript(t *testing.T, g *graph.Graph, policy sim.SchedPolicy, worke
 			b.WriteByte('\n')
 		},
 	}, gtd.NewFactory(gtd.DefaultConfig()))
-	stats, err := eng.Run()
+	stats, err := d.drive(eng)
 	obs := stats.Observables()
 	fmt.Fprintf(&b, "stats: %+v\n", obs)
 	fmt.Fprintf(&b, "err: %v\n", err)
 	return b.String(), stats
 }
 
-// TestAdaptiveForcedEquivalence is the adaptive scheduler's core contract:
-// for every graph family and worker count, SchedAuto (bursts + crossover)
-// must produce transcripts, observable statistics, and termination
-// behaviour bit-identical to both forced policies.
+// TestAdaptiveForcedEquivalence is the dispatcher's core contract: for
+// every graph family and worker count, Run at the default threshold
+// (bursts, fan-out only on wide frontiers) must produce transcripts,
+// observable statistics, and termination behaviour bit-identical to a
+// forced fan-out of every non-empty tick and to per-tick RunOne dispatch.
 func TestAdaptiveForcedEquivalence(t *testing.T) {
 	for name, g := range equivalenceGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			want, _ := schedTranscript(t, g, sim.SchedForceSequential, 1, 0, 8_000_000)
+			want, _ := schedTranscript(t, g, dispatchRunOne, 1, 0, 8_000_000)
 			for _, workers := range []int{1, 2, 4, 8} {
-				for _, policy := range []sim.SchedPolicy{
-					sim.SchedAuto, sim.SchedForceParallel, sim.SchedForceSequential,
-				} {
-					got, stats := schedTranscript(t, g, policy, workers, 0, 8_000_000)
+				for _, d := range dispatches {
+					got, stats := schedTranscript(t, g, d, workers, 0, 8_000_000)
 					if got != want {
-						t.Fatalf("sched=%v workers=%d diverges:\nwant:\n%s\ngot:\n%s",
-							policy, workers, want, got)
+						t.Fatalf("%s workers=%d diverges:\nwant:\n%s\ngot:\n%s",
+							d.name, workers, want, got)
 					}
 					if total := stats.SeqTicks + stats.ParTicks; total != int64(stats.Ticks) {
-						t.Fatalf("sched=%v workers=%d: SeqTicks(%d)+ParTicks(%d) != Ticks(%d)",
-							policy, workers, stats.SeqTicks, stats.ParTicks, stats.Ticks)
+						t.Fatalf("%s workers=%d: SeqTicks(%d)+ParTicks(%d) != Ticks(%d)",
+							d.name, workers, stats.SeqTicks, stats.ParTicks, stats.Ticks)
 					}
-					if policy == sim.SchedForceSequential && stats.ParTicks != 0 {
-						t.Fatalf("ForceSequential dispatched %d parallel ticks", stats.ParTicks)
+					// These networks' frontiers stay far below the
+					// crossover, so only the forced fan-out uses the pool.
+					if fanned := stats.ParTicks != 0; fanned != (d == dispatchFanout && workers > 1) {
+						t.Fatalf("%s workers=%d dispatched %d parallel ticks", d.name, workers, stats.ParTicks)
 					}
-					if policy != sim.SchedAuto && stats.Bursts != 0 {
-						t.Fatalf("sched=%v entered %d bursts (bursting is SchedAuto-only)", policy, stats.Bursts)
+					if d.stepwise && stats.Bursts != 0 {
+						t.Fatalf("RunOne entered %d bursts (bursting is Run-only)", stats.Bursts)
 					}
 				}
 			}
@@ -79,7 +109,7 @@ func TestAdaptiveForcedEquivalence(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRootSweep sweeps roots with the adaptive policy against the
+// TestAdaptiveRootSweep sweeps roots under Run against the
 // dense reference: the burst fast-path must not disturb the root's
 // transcript capture wherever the root lands.
 func TestAdaptiveRootSweep(t *testing.T) {
@@ -95,25 +125,102 @@ func TestAdaptiveRootSweep(t *testing.T) {
 
 // TestAdaptiveFailureEquivalence: a run that exhausts its tick budget must
 // fail identically — same error, same tick, same observable stats — under
-// every policy and worker count (the burst loop checks the budget on every
-// simulated tick, including jumped idle ticks).
+// every dispatch and worker count (the burst loop checks the budget on
+// every simulated tick, including jumped idle ticks).
 func TestAdaptiveFailureEquivalence(t *testing.T) {
 	g := graph.Torus(4, 4)
-	want, _ := schedTranscript(t, g, sim.SchedForceSequential, 1, 0, 40)
+	want, _ := schedTranscript(t, g, dispatchRunOne, 1, 0, 40)
 	if !strings.Contains(want, "err: sim: maximum tick count exceeded") {
 		t.Fatalf("reference run should fail on the budget:\n%s", want)
 	}
-	for _, policy := range []sim.SchedPolicy{sim.SchedAuto, sim.SchedForceParallel} {
+	for _, d := range []dispatch{dispatchRun, dispatchFanout} {
 		for _, workers := range []int{1, 4} {
-			if got, _ := schedTranscript(t, g, policy, workers, 0, 40); got != want {
-				t.Fatalf("sched=%v workers=%d: failure diverges\nwant:\n%s\ngot:\n%s",
-					policy, workers, want, got)
+			if got, _ := schedTranscript(t, g, d, workers, 0, 40); got != want {
+				t.Fatalf("%s workers=%d: failure diverges\nwant:\n%s\ngot:\n%s",
+					d.name, workers, want, got)
 			}
 		}
 	}
 }
 
-// TestBurstTelemetry pins the telemetry of a run that bursts: SchedAuto on
+// runDispatchRule runs an engine on g with an observer asserting the
+// dispatch rule tick by tick: a tick fans out exactly when its frontier
+// (frontier0 for the first tick, then FrontierLen after each tick) holds at
+// least threshold nodes. It returns the fanned-out and sequential tick
+// counts and the run's statistics.
+func runDispatchRule(t *testing.T, g *graph.Graph, opts sim.Options, threshold, frontier0 int,
+	factory func(sim.NodeInfo) sim.Automaton) (fanned, sequential int, stats sim.Stats) {
+	t.Helper()
+	frontier := frontier0
+	var lastPar int64
+	obs := sim.ObserverFunc(func(tick int, e *sim.Engine) {
+		par := e.Stats().ParTicks
+		if got, want := par > lastPar, frontier > 0 && frontier >= threshold; got != want {
+			t.Errorf("tick %d with a %d-node frontier: fanned out %v, want %v", tick, frontier, got, want)
+		}
+		if par > lastPar {
+			fanned++
+		} else {
+			sequential++
+		}
+		lastPar, frontier = par, e.FrontierLen()
+	})
+	opts.MaxTicks, opts.StopWhenQuiescent = 1000, true
+	opts.Observers = []sim.Observer{obs}
+	stats, err := sim.New(g, opts, factory).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fanned, sequential, stats
+}
+
+// TestDispatchRuleWideFrontier pins the dispatch rule itself: with two
+// workers on at least two cores, a tick fans out exactly when its frontier
+// holds at least the measured crossover. Node v stays busy for v mod 40
+// ticks, so the frontier shrinks by one band of nodes per tick and crosses
+// the crossover from above mid-run.
+func TestDispatchRuleWideFrontier(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the rule fans out only when Workers ≤ GOMAXPROCS; needs GOMAXPROCS ≥ 2")
+	}
+	const life = 40
+	band := sim.ParallelCrossover/8 + 1 // the frontier crosses between ticks 31 and 32
+	g := graph.Ring(life * band)
+	frontier := 0 // the first tick's frontier: every busy node
+	for v := 0; v < g.N(); v++ {
+		if v%life > 0 {
+			frontier++
+		}
+	}
+	fanned, sequential, _ := runDispatchRule(t, g, sim.Options{Workers: 2}, sim.ParallelCrossover, frontier,
+		func(info sim.NodeInfo) sim.Automaton { return &ticker{left: info.Index % life} })
+	if fanned == 0 || sequential == 0 {
+		t.Fatalf("the run should cross the crossover: %d fanned-out and %d sequential ticks", fanned, sequential)
+	}
+}
+
+// TestDispatchRuleAfterIdleJump: the burst reads the dispatch rule before
+// every tick, so the tick right after a collapsed idle stretch — whose
+// frontier is the wheel slot just promoted — fans out like any other.
+// ParallelThreshold 1 fans out every tick with a non-empty frontier, and
+// exactly the idle ticks run sequentially.
+func TestDispatchRuleAfterIdleJump(t *testing.T) {
+	// The holder is busy from the start (a one-node first frontier); the
+	// sink never is.
+	fanned, idle, stats := runDispatchRule(t, graph.TwoCycle(), sim.Options{Workers: 2, ParallelThreshold: 1}, 1, 1,
+		func(info sim.NodeInfo) sim.Automaton {
+			if info.Index != 0 {
+				return &sinkNode{}
+			}
+			return &holdTicker{left: 29, hold: 6}
+		})
+	if fanned < 2 || idle == 0 || stats.Bursts == 0 {
+		t.Fatalf("the run should alternate idle stretches and held steps: %d fanned-out, %d idle ticks, %d bursts",
+			fanned, idle, stats.Bursts)
+	}
+}
+
+// TestBurstTelemetry pins the telemetry of a run that bursts: Run on
 // a protocol run whose frontier never reaches the crossover must execute
 // the entire run as sequential ticks, inside at least one burst, and the
 // telemetry must always partition the tick count.
@@ -125,7 +232,7 @@ func TestBurstTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Bursts == 0 {
-		t.Fatal("SchedAuto never entered a burst on a ring map")
+		t.Fatal("Run never entered a burst on a ring map")
 	}
 	if stats.ParTicks != 0 || stats.SeqTicks != int64(stats.Ticks) {
 		t.Fatalf("one-worker run should be all-sequential: seq=%d par=%d ticks=%d",
@@ -175,29 +282,28 @@ func TestBurstObserverEveryTick(t *testing.T) {
 // tick sequence whether or not the engine bursts.
 func TestBurstTranscriptEveryTick(t *testing.T) {
 	g := graph.Kautz(2, 2)
-	collect := func(policy sim.SchedPolicy) []int {
+	collect := func(d dispatch) []int {
 		var ticks []int
 		eng := sim.New(g, sim.Options{
 			MaxTicks: 8_000_000,
-			Sched:    policy,
 			Workers:  1,
 			Transcript: func(e sim.TranscriptEntry) {
 				ticks = append(ticks, e.Tick)
 			},
 		}, gtd.NewFactory(gtd.DefaultConfig()))
-		if _, err := eng.Run(); err != nil {
-			t.Fatalf("sched=%v: %v", policy, err)
+		if _, err := d.drive(eng); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
 		}
 		return ticks
 	}
-	want := collect(sim.SchedForceSequential)
-	got := collect(sim.SchedAuto)
+	want := collect(dispatchRunOne)
+	got := collect(dispatchRun)
 	if len(want) != len(got) {
 		t.Fatalf("transcript entry counts differ: %d vs %d", len(want), len(got))
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("transcript tick %d: forced %d vs adaptive %d", i, want[i], got[i])
+			t.Fatalf("transcript tick %d: RunOne %d vs Run %d", i, want[i], got[i])
 		}
 	}
 }
@@ -316,11 +422,10 @@ func TestHoldSkipsDormantSteps(t *testing.T) {
 // same tick as the per-tick engine.
 func TestIdleTickJump(t *testing.T) {
 	g := graph.TwoCycle()
-	build := func(policy sim.SchedPolicy, obs []sim.Observer) *sim.Engine {
+	build := func(obs []sim.Observer) *sim.Engine {
 		return sim.New(g, sim.Options{
 			MaxTicks:          1000,
 			Workers:           1,
-			Sched:             policy,
 			StopWhenQuiescent: true,
 			Observers:         obs,
 		}, func(info sim.NodeInfo) sim.Automaton {
@@ -331,19 +436,19 @@ func TestIdleTickJump(t *testing.T) {
 		})
 	}
 	log := &tickLogger{}
-	auto, err := build(sim.SchedAuto, []sim.Observer{log}).Run()
+	auto, err := build([]sim.Observer{log}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced, err := build(sim.SchedForceSequential, nil).Run()
+	forced, err := dispatchRunOne.drive(build(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if auto.Ticks != forced.Ticks {
-		t.Fatalf("clock jump changed the tick count: auto %d vs forced %d", auto.Ticks, forced.Ticks)
+		t.Fatalf("clock jump changed the tick count: Run %d vs RunOne %d", auto.Ticks, forced.Ticks)
 	}
 	if auto.StepCalls != forced.StepCalls {
-		t.Fatalf("policies disagree on StepCalls: %d vs %d", auto.StepCalls, forced.StepCalls)
+		t.Fatalf("Run and RunOne disagree on StepCalls: %d vs %d", auto.StepCalls, forced.StepCalls)
 	}
 	if len(log.ticks) != auto.Ticks {
 		t.Fatalf("observer fired %d times over %d ticks (jumped ticks must still observe)",
@@ -353,28 +458,28 @@ func TestIdleTickJump(t *testing.T) {
 
 // TestAdaptiveBurstRing1024 is the CI regression smoke: over a bounded
 // window of a 1024-node ring run it asserts, without any wall-clock
-// measurement, that (a) the adaptive policy dispatched sequential burst
-// ticks, (b) the sparse frontier plus hold-timer wheel kept step-loop
-// iterations at least 10× below the dense sweep, and (c) every observable
-// is bit-identical to the forced-sequential dispatch.
+// measurement, that (a) Run dispatched sequential burst ticks, (b) the
+// sparse frontier plus hold-timer wheel kept step-loop iterations at least
+// 10× below the dense sweep, and (c) every observable is bit-identical to
+// per-tick RunOne dispatch.
 func TestAdaptiveBurstRing1024(t *testing.T) {
 	g := graph.Ring(1024)
-	run := func(policy sim.SchedPolicy) sim.Stats {
-		eng := sim.New(g, sim.Options{MaxTicks: 100_000, Workers: 1, Sched: policy},
+	run := func(d dispatch) sim.Stats {
+		eng := sim.New(g, sim.Options{MaxTicks: 100_000, Workers: 1},
 			gtd.NewFactory(gtd.DefaultConfig()))
-		_, err := eng.Run()
+		_, err := d.drive(eng)
 		if !errors.Is(err, sim.ErrMaxTicks) {
 			t.Fatalf("window run should end on the tick budget, got %v", err)
 		}
 		return eng.Stats()
 	}
-	auto := run(sim.SchedAuto)
-	forced := run(sim.SchedForceSequential)
+	auto := run(dispatchRun)
+	forced := run(dispatchRunOne)
 	if auto.SeqTicks == 0 || auto.Bursts == 0 {
-		t.Fatalf("adaptive run recorded no bursts: %+v", auto)
+		t.Fatalf("Run recorded no bursts: %+v", auto)
 	}
 	if auto.Observables() != forced.Observables() {
-		t.Fatalf("adaptive vs forced observables diverge:\n%+v\n%+v", auto, forced)
+		t.Fatalf("Run vs RunOne observables diverge:\n%+v\n%+v", auto, forced)
 	}
 	dense := int64(g.N()) * int64(auto.Ticks)
 	if auto.StepCalls*10 > dense {

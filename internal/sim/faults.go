@@ -14,7 +14,7 @@ import "math"
 // drop decision is a pure hash of (Seed, tick, emitting node, out-port) —
 // never a sequential RNG stream, which the parallel tick would consume in
 // scheduling order — and a crash is a fixed (node, tick) pair. For a given
-// plan, every worker count, scheduling policy, and dense/sparse mode yields
+// plan, every worker count, dispatch path, and dense/sparse mode yields
 // bit-identical transcripts, statistics (including Stats.Dropped), and
 // failures.
 type FaultPlan struct {
@@ -100,7 +100,7 @@ func (e *Engine) crashed(v int) bool {
 
 // dropped decides the fate of the symbol node v emits on out-port p (0-based)
 // this tick: a pure splitmix64-style hash of (seed, tick, v, p), so the
-// decision is identical no matter which worker, shard, or scheduling policy
+// decision is identical no matter which worker, shard, or dispatch path
 // performs the emission.
 func (e *Engine) dropped(v, p int) bool {
 	h := uint64(e.faults.Seed)

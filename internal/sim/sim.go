@@ -40,22 +40,22 @@
 // sequential engine regardless of Options.Workers. The equivalence is
 // enforced by tests across graph families, seeds, and worker counts.
 //
-// # Adaptive dispatch, bursts, and hold timers
+// # Dispatch, bursts, and hold timers
 //
-// Dispatch adapts to instantaneous activity (Options.Sched). Ticks whose
-// frontier reaches the parallel threshold fan out across the worker pool;
-// stretches of small-frontier ticks run as sequential bursts — back to back
-// on the calling goroutine, with no shard carving, no pool dispatch, one
-// panic guard per burst, and hysteresis around the crossover. Automata
+// One rule decides how a tick is dispatched: it fans out across the worker
+// pool when 1 < Workers ≤ GOMAXPROCS and its frontier holds at least
+// parallelCrossover nodes, the crossover measured by E15. Every other tick
+// runs in a sequential burst — back to back on the calling goroutine, with
+// no shard carving, no pool dispatch, and one panic guard per burst — which
+// ends as soon as the frontier reaches the crossover. Automata
 // implementing Holder report how long they are dormant (busy, but provably
 // a no-op for a known number of all-blank ticks — the paper's speed-1
 // constructs rest two ticks out of three); the engine parks them on a
 // timing wheel, replays the skipped aging in bulk before their next step,
-// and collapses globally idle ticks into an O(1) clock advance. Every
-// policy and mechanism above preserves the observables bit for bit; the
-// SchedForce policies exist to pin the dispatch for tests and measurement,
-// and Stats.SeqTicks/ParTicks/Bursts record what the scheduler actually
-// did.
+// and collapses globally idle ticks into an O(1) clock advance. Both
+// dispatch paths and every mechanism above preserve the observables bit
+// for bit; Stats.SeqTicks/ParTicks/Bursts record what the dispatcher
+// actually did.
 package sim
 
 import (
@@ -146,7 +146,7 @@ type TranscriptEntry struct {
 }
 
 // Observer receives a callback after every tick. Observers fire on every
-// tick boundary regardless of the execution policy: a sequential burst and
+// tick boundary regardless of the dispatch path: a sequential burst and
 // the clock-jump over globally idle ticks both invoke AfterTick once per
 // tick, in order, with the engine's Tick and Stats consistent.
 type Observer interface {
@@ -159,58 +159,13 @@ type ObserverFunc func(t int, e *Engine)
 // AfterTick implements Observer.
 func (f ObserverFunc) AfterTick(t int, e *Engine) { f(t, e) }
 
-// SchedPolicy selects how the engine dispatches the work of a tick. Every
-// policy produces bit-identical transcripts, reconstructions, failures, and
-// protocol statistics (Ticks, NonBlankMessages, StepCalls, MaxActive); the
-// policy changes wall-clock time and the scheduler telemetry counters only.
-type SchedPolicy uint8
-
-const (
-	// SchedAuto (the default) matches dispatch cost to instantaneous
-	// activity: ticks whose frontier reaches the parallel threshold fan
-	// out across the worker pool; ticks below the sequential-burst
-	// threshold run in a burst — back-to-back on the calling goroutine,
-	// skipping shard carving and pool dispatch entirely, re-evaluating the
-	// policy only when the frontier grows past the hysteresis bound, the
-	// run ends, or the cancellation poll interval elapses.
-	SchedAuto SchedPolicy = iota
-	// SchedForceParallel fans every non-empty tick out across the worker
-	// pool (when Workers > 1), ignoring the work threshold. It exists for
-	// the adaptive-vs-forced equivalence suite and the E15 crossover
-	// measurements.
-	SchedForceParallel
-	// SchedForceSequential dispatches every tick on the calling
-	// goroutine, one tick per dispatch, without entering a burst: the
-	// per-tick baseline the burst fast-path is measured against.
-	SchedForceSequential
-)
-
-// String names the policy for flags and tables.
-func (p SchedPolicy) String() string {
-	switch p {
-	case SchedAuto:
-		return "auto"
-	case SchedForceParallel:
-		return "parallel"
-	case SchedForceSequential:
-		return "sequential"
-	}
-	return fmt.Sprintf("SchedPolicy(%d)", uint8(p))
-}
-
-// ParseSchedPolicy parses a policy name as accepted by the CLI -sched
-// flags: auto, seq/sequential, par/parallel.
-func ParseSchedPolicy(s string) (SchedPolicy, error) {
-	switch s {
-	case "auto", "":
-		return SchedAuto, nil
-	case "seq", "sequential":
-		return SchedForceSequential, nil
-	case "par", "parallel":
-		return SchedForceParallel, nil
-	}
-	return SchedAuto, fmt.Errorf("sim: unknown scheduling policy %q (want auto, seq, or par)", s)
-}
+// parallelCrossover is the smallest frontier a tick fans out at (see
+// Options.ParallelThreshold), measured by E15 (DESIGN.md §2.1): at 16, 1024,
+// 4096 and 16384 nodes the pool's per-tick dispatch cost more than the
+// sharded steps saved on some of the benchmark's 16k-node windows, while
+// above 16384 none of them fans out and the Erdős–Rényi 10^5 window keeps
+// its pooled gain.
+const parallelCrossover = 16385
 
 // MaxHold caps the hold a Holder may report: an automaton sleeping longer
 // than this is woken (at most) every MaxHold+1 ticks to re-report. The cap
@@ -287,28 +242,17 @@ type Options struct {
 	// Workers is the number of goroutines that step processors within a
 	// tick. 0 (the default) uses runtime.GOMAXPROCS(0); 1 selects the
 	// sequential path. Any value yields bit-identical transcripts and
-	// statistics; ticks with too few active processors to amortise the
-	// fan-out run sequentially regardless.
+	// statistics. A pool larger than GOMAXPROCS never fans out unless
+	// ParallelThreshold is set: time-slicing one core through channel
+	// hops cannot pay.
 	Workers int
-	// ParallelThreshold overrides the minimum per-tick work (the
-	// frontier size; all N nodes in Naive mode) required to fan a pulse
-	// out across the workers (default max(4·Workers, 16)). Equivalence
-	// tests and the E9/E10 sweeps set it to 1 to force the parallel
-	// path; 0 keeps the default.
+	// ParallelThreshold is the smallest per-tick work (the frontier
+	// size; all N nodes in Naive mode) that fans a tick out across the
+	// workers. 0 keeps the measured default, parallelCrossover.
+	// Equivalence tests and the E9/E10/E15 sweeps set it explicitly (1
+	// forces every non-empty tick through the parallel path, at any
+	// worker count).
 	ParallelThreshold int
-	// Sched selects the execution policy: SchedAuto (default) bursts
-	// small-frontier ticks sequentially and fans large ones out;
-	// SchedForceSequential and SchedForceParallel pin the dispatch for
-	// equivalence testing and crossover measurement. Every policy yields
-	// bit-identical transcripts and protocol statistics.
-	Sched SchedPolicy
-	// SeqThreshold tunes the burst crossover of SchedAuto: a tick whose
-	// frontier is strictly below it enters a sequential burst, which runs
-	// until the frontier reaches the hysteresis bound
-	// max(2·SeqThreshold, ParallelThreshold). 0 picks the default —
-	// half the parallel threshold with multiple workers, unbounded
-	// (always burst) with one.
-	SeqThreshold int
 	// RetainPool keeps the parked worker pool alive when a run finishes
 	// instead of releasing it, so an engine reused via Reset skips the
 	// pool restart on the next run. The owner must call Close when done;
@@ -321,17 +265,17 @@ type Options struct {
 	Cancel func() error
 	// Faults, if non-nil, injects deterministic message loss and node
 	// crashes (see FaultPlan). The plan is re-armed on every Reset; faults
-	// preserve the determinism guarantee across workers, policies, and
-	// dense/sparse scheduling.
+	// preserve the determinism guarantee across workers, dispatch paths,
+	// and dense/sparse scheduling.
 	Faults *FaultPlan
 }
 
 // Stats summarises a run. Ticks, NonBlankMessages, StepCalls, MaxActive, and
 // Dropped are protocol observables covered by the determinism guarantee:
-// identical for every worker count and scheduling policy. SeqTicks, ParTicks, and
-// Bursts are scheduler telemetry — they describe how the run was dispatched
-// (and so vary with Workers and Sched by design) and are excluded from the
-// equivalence guarantee.
+// identical for every worker count and dispatch path. SeqTicks, ParTicks,
+// and Bursts are dispatch telemetry — they describe how the run was
+// dispatched (and so vary with Workers and ParallelThreshold by design) and
+// are excluded from the equivalence guarantee.
 type Stats struct {
 	Ticks            int
 	NonBlankMessages int64 // total non-blank symbols delivered
@@ -341,10 +285,10 @@ type Stats struct {
 
 	SeqTicks int64 // ticks dispatched on the calling goroutine (incl. idle ticks)
 	ParTicks int64 // ticks fanned out across the worker pool
-	Bursts   int64 // sequential bursts entered by SchedAuto
+	Bursts   int64 // sequential bursts entered by Run
 }
 
-// Observables returns the policy-invariant subset of the statistics: the
+// Observables returns the dispatch-invariant subset of the statistics: the
 // fields the determinism guarantee covers, with the scheduler telemetry
 // zeroed. Equivalence tests compare these.
 func (s Stats) Observables() Stats {
@@ -468,11 +412,6 @@ type Engine struct {
 	holderBits []uint64
 	lastStep   []uint32
 
-	// Resolved SchedAuto burst thresholds: enter a burst when the
-	// frontier is below seqEnter, leave it at seqExit (hysteresis).
-	seqEnter int
-	seqExit  int
-
 	// rootTerm caches the root automaton's Terminator interface (nil if
 	// not implemented), so the per-tick terminal check is a nil test
 	// rather than a type assertion.
@@ -500,7 +439,7 @@ type Engine struct {
 	crashAt  []int
 
 	workers int     // resolved worker count (≥ 1)
-	parMin  int     // minimum per-tick work to dispatch in parallel
+	parMin  int     // minimum per-tick work to fan out (resolved threshold)
 	seqSh   shard   // scratch shard for sequential ticks (its buffers persist)
 	shards  []shard // one per worker; shards[0] runs on the caller
 
@@ -743,27 +682,18 @@ func (e *Engine) resetWorkers(n int) {
 	if w <= 1 {
 		e.stopPool()
 		e.shards = nil
-		e.parMin = 0
-		e.resetBurstThresholds()
 		return
 	}
-	e.parMin = 4 * w
-	if e.parMin < 16 {
-		e.parMin = 16
-	}
-	if w > runtime.GOMAXPROCS(0) {
-		// More workers than schedulable cores: the fan-out can never
-		// pay for its dispatch (the "parallel" shards just time-slice
-		// one core plus channel hops), so the auto policy's crossover
-		// moves out of reach. Forced policies and an explicit
-		// ParallelThreshold still exercise the parallel path — the
-		// results are identical either way, this is wall-clock only.
-		e.parMin = int(^uint(0) >> 1)
-	}
-	if e.opts.ParallelThreshold > 0 {
+	// The dispatch rule's threshold: an explicit test seam, else never
+	// for a pool that would time-slice cores, else the measured constant.
+	switch {
+	case e.opts.ParallelThreshold > 0:
 		e.parMin = e.opts.ParallelThreshold
+	case w > runtime.GOMAXPROCS(0):
+		e.parMin = int(^uint(0) >> 1)
+	default:
+		e.parMin = parallelCrossover
 	}
-	e.resetBurstThresholds()
 	if len(e.shards) != w {
 		e.stopPool()
 		if cap(e.shards) >= w {
@@ -786,35 +716,6 @@ func (e *Engine) resetWorkers(n int) {
 			wakes: e.shards[i].wakes[:0], in: e.shards[i].in, out: e.shards[i].out}
 		e.shards[i].ensureScratch(e.delta)
 	}
-}
-
-// resetBurstThresholds resolves the SchedAuto burst crossover with
-// hysteresis: enter a burst strictly below seqEnter, leave it at seqExit.
-// With one worker every tick is sequential anyway, so bursting is always a
-// win and the thresholds are unbounded; with a pool the defaults hand off
-// to the parallel path exactly where the fan-out starts paying.
-func (e *Engine) resetBurstThresholds() {
-	const unbounded = int(^uint(0) >> 1)
-	if e.workers <= 1 {
-		e.seqEnter, e.seqExit = unbounded, unbounded
-		if e.opts.SeqThreshold > 0 {
-			e.seqEnter = e.opts.SeqThreshold
-			e.seqExit = 2 * e.opts.SeqThreshold
-		}
-		return
-	}
-	enter := e.parMin / 2
-	if enter < 8 {
-		enter = 8
-	}
-	if e.opts.SeqThreshold > 0 {
-		enter = e.opts.SeqThreshold
-	}
-	exit := 2 * enter
-	if exit < e.parMin {
-		exit = e.parMin
-	}
-	e.seqEnter, e.seqExit = enter, exit
 }
 
 // Graph returns the engine's topology (read-only by convention).
@@ -1282,11 +1183,11 @@ func (e *Engine) stepParallel() (bool, int) {
 	return anyActive, lives
 }
 
-// dispatchParallel reports whether the coming pulse should fan out across
-// the worker pool, per the scheduling policy. Under SchedAuto the frontier
-// *is* the tick's work set, so the crossover decision is exact; in Naive
-// mode every node steps. Both paths produce identical state, so mixing them
-// within a run preserves the determinism guarantee.
+// dispatchParallel reports whether the coming tick fans out across the
+// worker pool: the dispatch rule. The frontier *is* the tick's work set, so
+// the decision is exact; in Naive mode every node steps. Both paths produce
+// identical state, so mixing them within a run preserves the determinism
+// guarantee.
 func (e *Engine) dispatchParallel() bool {
 	if e.workers <= 1 {
 		return false
@@ -1295,16 +1196,7 @@ func (e *Engine) dispatchParallel() bool {
 	if !e.sparse {
 		work = e.g.N()
 	}
-	if work == 0 {
-		return false
-	}
-	switch e.opts.Sched {
-	case SchedForceSequential:
-		return false
-	case SchedForceParallel:
-		return true
-	}
-	return work >= e.parMin
+	return work > 0 && work >= e.parMin
 }
 
 // epochBase is the epoch value rebaseEpochs restarts at. It exceeds the
@@ -1369,7 +1261,7 @@ func (e *Engine) promoteFrontier() {
 // finishTick closes the tick in flight: root transcript delivery, activity
 // accounting, plane swaps, frontier promotion, observers, and the
 // quiescence check. It is shared verbatim by the per-tick path (RunOne) and
-// the sequential burst, which is what keeps every execution policy
+// the sequential burst, which is what keeps both dispatch paths
 // bit-identical in its observables.
 func (e *Engine) finishTick(anyActive bool, lives int) (bool, error) {
 	if e.rootIn != nil {
@@ -1488,30 +1380,21 @@ func (e *Engine) advanceIdleTick() {
 	}
 }
 
-// burstReady reports whether Run may enter a sequential burst for the
-// coming tick: adaptive policy, sparse scheduling, a seeded live run, and a
-// frontier below the crossover threshold.
-func (e *Engine) burstReady() bool {
-	return e.sparse && e.opts.Sched == SchedAuto && e.seeded && !e.done &&
-		len(e.frontier) < e.seqEnter
-}
-
 // burstCancelInterval is how many burst ticks run between Options.Cancel
 // polls: bursts trade per-tick cancellation for dispatch cost, keeping
 // cancellation latency bounded by a few microseconds of simulated ticks.
 const burstCancelInterval = 64
 
-// runBurst is the sequential burst fast-path of SchedAuto: ticks run
-// back-to-back on the calling goroutine with no shard carving, no pool
-// dispatch, and no per-tick panic guard, and globally idle ticks collapse
-// to an O(1) clock advance. The loop re-evaluates the policy only when the
-// frontier grows past the hysteresis bound, the run ends (terminal,
-// quiescent, budget), or the cancellation poll interval elapses; Observer
-// and Transcript callbacks still fire on every tick boundary, and an
-// Observer calling Wake is honoured on the very next tick (the frontier is
-// re-read every iteration). State evolution is shared with RunOne
-// (stepSequential + finishTick), so a burst changes wall-clock only, never
-// an observable.
+// runBurst is the sequential path of Run: ticks run back-to-back on the
+// calling goroutine with no shard carving, no pool dispatch, and no
+// per-tick panic guard, and globally idle ticks collapse to an O(1) clock
+// advance. The loop returns to Run only when the dispatch rule calls for a
+// fan-out, the run ends (terminal, quiescent, budget), or the cancellation
+// poll fails; Observer and Transcript callbacks still fire on every tick
+// boundary, and an Observer calling Wake is honoured on the very next tick
+// (the frontier is re-read every iteration). State evolution is shared with
+// RunOne (stepSequential + finishTick), so a burst changes wall-clock only,
+// never an observable.
 func (e *Engine) runBurst() (bool, error) {
 	e.stats.Bursts++
 	if e.workers > 1 {
@@ -1526,6 +1409,12 @@ func (e *Engine) runBurst() (bool, error) {
 	}
 	cancel := e.opts.Cancel
 	for n := 1; ; n++ {
+		// The rule is read before every tick, including one right after
+		// an idle jump, whose promoted wheel slot (and any Wake an
+		// Observer called) may reach the crossover.
+		if e.dispatchParallel() {
+			return true, nil
+		}
 		if e.rootTerminated() {
 			e.done = true
 			e.releasePool()
@@ -1557,9 +1446,6 @@ func (e *Engine) runBurst() (bool, error) {
 		if err != nil || !more {
 			return more, err
 		}
-		if len(e.frontier) >= e.seqExit {
-			return true, nil
-		}
 	}
 }
 
@@ -1577,9 +1463,8 @@ func (e *Engine) anyPending() bool {
 
 // Run executes ticks until the root terminates, the network quiesces, the
 // tick budget is exhausted, or Options.Cancel reports cancellation, and
-// returns the statistics. Under SchedAuto, stretches of small-frontier
-// ticks run as sequential bursts (see runBurst); every policy yields the
-// same observables.
+// returns the statistics. A tick the dispatch rule fans out runs through
+// RunOne; every other tick runs in a sequential burst (see runBurst).
 func (e *Engine) Run() (Stats, error) {
 	for {
 		if e.opts.Cancel != nil {
@@ -1588,12 +1473,18 @@ func (e *Engine) Run() (Stats, error) {
 				return e.stats, fmt.Errorf("sim: run cancelled at tick %d: %w", e.tick, err)
 			}
 		}
+		if e.done {
+			return e.stats, nil
+		}
+		if !e.seeded {
+			e.seedFrontier()
+		}
 		var more bool
 		var err error
-		if e.burstReady() {
-			more, err = e.runBurst()
-		} else {
+		if e.dispatchParallel() {
 			more, err = e.RunOne()
+		} else {
+			more, err = e.runBurst()
 		}
 		if err != nil {
 			return e.stats, err

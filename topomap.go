@@ -37,8 +37,7 @@
 // only processors that were delivered a symbol, or that stayed busy after
 // their previous step, are stepped at all, so a tick costs O(active) rather
 // than O(N) — the protocol keeps per-pulse activity bounded by transaction
-// structure, not network size. Options.Dense restores the literal
-// every-node sweep as a reference path; results are bit-identical.
+// structure, not network size.
 //
 // The engine is also multi-core: within one global pulse every
 // processor reads the symbols delivered at tick t and writes symbols for
@@ -48,14 +47,13 @@
 // runtime.GOMAXPROCS(0), 1 forces the sequential path, and any other value
 // sizes the pool explicitly.
 //
-// Dispatch is adaptive (Options.Sched): ticks with enough work fan out
-// across the pool, stretches of small-frontier ticks run as sequential
-// bursts with near-zero per-tick overhead, dormant processors (busy but
-// provably inactive for a known number of ticks, e.g. relays holding
-// speed-1 characters) are parked on a timing wheel instead of being
-// stepped every tick, and globally idle ticks collapse to an O(1) clock
-// advance. Forced policies pin the dispatch for measurement; results are
-// bit-identical under every policy.
+// One dispatch rule needs no tuning: a tick fans out across the pool only
+// when its frontier reaches a crossover measured on real windows, and every
+// other tick runs in a sequential burst with near-zero per-tick overhead.
+// Dormant processors (busy but provably inactive for a known number of
+// ticks, e.g. relays holding speed-1 characters) are parked on a timing
+// wheel instead of being stepped every tick, and globally idle ticks
+// collapse to an O(1) clock advance. Results are bit-identical either way.
 //
 // The determinism guarantee: for a fixed graph, root, and speed
 // configuration, every run produces a bit-identical root transcript,
@@ -197,33 +195,13 @@ type Options struct {
 	// produces a bit-identical transcript and statistics — see the
 	// package documentation for the determinism guarantee.
 	Workers int
-	// Dense disables the sparse frontier scheduler and steps every
-	// processor every tick, making a run cost O(N) per tick instead of
-	// O(active). Results are bit-identical either way (tested); Dense
-	// exists as the reference path for equivalence checking and
-	// debugging, never for performance.
-	Dense bool
-	// Sched selects the engine's execution policy. SchedAuto (the
-	// default) adapts dispatch to instantaneous activity: ticks with a
-	// large frontier fan out across the worker pool, stretches of
-	// small-frontier ticks run as sequential bursts with near-zero
-	// per-tick overhead. SchedForceParallel and SchedForceSequential pin
-	// the dispatch — they exist for equivalence testing and crossover
-	// measurement (E15). Every policy produces bit-identical results;
-	// only wall-clock time and the scheduler telemetry differ.
-	Sched SchedPolicy
-	// SeqThreshold tunes the adaptive policy's burst crossover: a tick
-	// whose frontier is below it enters a sequential burst (hysteresis
-	// keeps the burst until the frontier doubles past it or reaches the
-	// parallel threshold). 0 keeps the engine default.
-	SeqThreshold int
 	// Faults, if non-nil, injects hostile run conditions — deterministic
 	// per-wire message loss and fail-stop node crashes — into the
 	// simulated network (robustness measurement; E17). The protocol is
 	// not fault-tolerant: a faulted run typically fails with a deadlock
 	// or tick-budget error rather than completing. Fault injection
 	// preserves the determinism guarantee: the same plan yields the same
-	// outcome for every worker count and scheduling policy.
+	// outcome for every worker count.
 	Faults *FaultPlan
 }
 
@@ -233,25 +211,6 @@ type FaultPlan = sim.FaultPlan
 
 // Crash is one fail-stop node failure of a FaultPlan.
 type Crash = sim.Crash
-
-// SchedPolicy selects how the engine dispatches each global clock tick; see
-// Options.Sched.
-type SchedPolicy = sim.SchedPolicy
-
-// Scheduling policies for Options.Sched.
-const (
-	// SchedAuto adapts dispatch cost to instantaneous activity (default).
-	SchedAuto = sim.SchedAuto
-	// SchedForceParallel fans every non-empty tick across the pool.
-	SchedForceParallel = sim.SchedForceParallel
-	// SchedForceSequential dispatches every tick individually on the
-	// calling goroutine, without bursting.
-	SchedForceSequential = sim.SchedForceSequential
-)
-
-// ParseSchedPolicy parses a -sched flag value: auto, seq/sequential, or
-// par/parallel.
-var ParseSchedPolicy = sim.ParseSchedPolicy
 
 // Speeds is the per-hop extra hold of each construct class, in ticks
 // (paper defaults: snakes 2 = speed-1, loop tokens 2, UNMARK 0 = speed-3,
@@ -279,15 +238,12 @@ func (o Options) config() gtd.Config {
 // layers cannot drift apart.
 func (o Options) coreOptions(cfg *gtd.Config) core.Options {
 	return core.Options{
-		Root:         o.Root,
-		MaxTicks:     o.MaxTicks,
-		Validate:     o.Validate,
-		Workers:      o.Workers,
-		Dense:        o.Dense,
-		Sched:        o.Sched,
-		SeqThreshold: o.SeqThreshold,
-		Config:       cfg,
-		Faults:       o.Faults,
+		Root:     o.Root,
+		MaxTicks: o.MaxTicks,
+		Validate: o.Validate,
+		Workers:  o.Workers,
+		Config:   cfg,
+		Faults:   o.Faults,
 	}
 }
 
