@@ -63,8 +63,8 @@ func E15DispatchCrossover(s Scale) (*Table, error) {
 	if s == Full {
 		// E18's two 10^5 anchor windows.
 		windows = append(windows,
-			window{"ring-100000", func() (*graph.Graph, error) { return graph.Build(graph.FamilyRing, 100_000, e18Seed) }, e18Window, rounds},
-			window{"er-100000", func() (*graph.Graph, error) { return graph.Build(graph.FamilyErdosRenyi, 100_000, e18Seed) }, e18Window, 5})
+			window{"ring-100000", func() (*graph.Graph, error) { return buildGraph(graph.FamilyRing, 100_000, e18Seed) }, e18Window, rounds},
+			window{"er-100000", func() (*graph.Graph, error) { return buildGraph(graph.FamilyErdosRenyi, 100_000, e18Seed) }, e18Window, 5})
 	}
 	pool := max(maxWorkers(), 2)
 

@@ -2,11 +2,44 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"topomap/internal/graph"
 	"topomap/internal/sim"
 )
+
+// The test binary builds each network of 10^5 nodes or more once: E18's
+// quick grid, TestLargeNSmoke and the anchors window the same ring and
+// Erdős–Rényi 10^5 graphs, and the Erdős–Rényi pair sweep (10^10 draws)
+// takes about a minute per build. Engines only read their graph, so the
+// runs can share it.
+func init() {
+	type key struct {
+		f    graph.Family
+		n    int
+		seed int64
+	}
+	var mu sync.Mutex
+	memo := map[key]*graph.Graph{}
+	build := buildGraph
+	buildGraph = func(f graph.Family, n int, seed int64) (*graph.Graph, error) {
+		if n < 100_000 {
+			return build(f, n, seed)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		k := key{f, n, seed}
+		if g, ok := memo[k]; ok {
+			return g, nil
+		}
+		g, err := build(f, n, seed)
+		if err == nil {
+			memo[k] = g
+		}
+		return g, err
+	}
+}
 
 // Anchored transcript fingerprints, recorded on the engine BEFORE the
 // packed-plane/arena memory refactor and re-verified bit-identical after
@@ -67,7 +100,7 @@ func runOneLoop(e *sim.Engine) (sim.Stats, error) {
 
 func (c anchorCase) run(t *testing.T, opts sim.Options, drive func(*sim.Engine) (sim.Stats, error)) string {
 	t.Helper()
-	g, err := graph.Build(c.fam, c.n, 9)
+	g, err := buildGraph(c.fam, c.n, e18Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

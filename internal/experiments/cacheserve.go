@@ -71,7 +71,8 @@ func E19CachedServing(s Scale) (*Table, error) {
 		"collapse = (misses+shared)/misses — mean requesters per engine run among non-hit requests; 1.00 means no concurrent identical misses ever raced",
 		"runs is the pool's engine-run count for the round: requests − hits − shared on every row — hits and shared requests never run the engine (the headline row's second run is its uncached identity oracle)",
 		"identical: every result equals an independent uncached map of the same graph",
-		"the headline row's speedup (cold p50 / hit p50) is the PR's acceptance bound: ≥ 100 on the headline ring")
+		"the headline row's speedup (cold p50 / hit p50) is the PR's acceptance bound: ≥ 100 on the headline ring",
+		hostNote())
 	return t, nil
 }
 

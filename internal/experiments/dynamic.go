@@ -94,7 +94,8 @@ func E21IncrementalRemap(s Scale) (*Table, error) {
 		"struct µs is the measured clone + structural rebuild (remap.Rebuild) of the mutated network: the theorem-powered full rebuild, a conservative measured lower bound on any full remap",
 		"equal: the patched reconstruction is graph.Equal to and shares CanonicalDigest(0) with the full-map reference — the engine result on engine-measured rows, the structural rebuild elsewhere; correctness is never extrapolated",
 		fmt.Sprintf("deep deltas (dirty > 25%% of N) refused the patch (remap.ErrTooDirty) and fell back to the engine %d times — counted, speedup 1.00 by construction; their forced patches (maxdirty=1) are also bit-equal", fallbacks),
-		"the ring-10000 ins×1 row is the PR's acceptance bound: incremental remap ≥10× under the full remap for a single-edge delta")
+		"the ring-10000 ins×1 row is the PR's acceptance bound: incremental remap ≥10× under the full remap for a single-edge delta",
+		hostNote())
 	return t, nil
 }
 

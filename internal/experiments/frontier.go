@@ -76,7 +76,8 @@ func E14FrontierScheduler(s Scale) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"identical compares an FNV-1a fingerprint of the full root transcript plus ticks, messages, peak-active, and the failure outcome",
 		"it/t is step-loop iterations per tick: the dense sweep examines all N nodes, the frontier scheduler only the active set (its iterations equal its Step calls)",
-		"windowed rows bound both runs by the same tick budget; both abort identically, so the comparison stays exact")
+		"windowed rows bound both runs by the same tick budget; both abort identically, so the comparison stays exact",
+		hostNote())
 	return t, nil
 }
 

@@ -53,6 +53,11 @@ const e18Window = 4000
 // directly comparable.
 const e18Seed = 9
 
+// buildGraph builds the E18 and E15 windows' networks. It is a seam for the
+// test binary, which builds each 10^5-node network once (anchored_test.go):
+// the Erdős–Rényi one takes about a minute.
+var buildGraph = graph.Build
+
 // e18Row is one measured grid cell.
 type e18Row struct {
 	fam        graph.Family
@@ -106,7 +111,7 @@ func peakRSSBytes() int64 {
 // engine and automata are built fresh inside the heap bracket so the delta
 // captures exactly the per-map state.
 func e18Run(fam graph.Family, n int) (*e18Row, error) {
-	g, err := graph.Build(fam, n, e18Seed)
+	g, err := buildGraph(fam, n, e18Seed)
 	if err != nil {
 		return nil, err
 	}

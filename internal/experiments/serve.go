@@ -173,7 +173,8 @@ func E16ServedThroughput(s Scale) (*Table, error) {
 		"served rows submit through topomap.NewService — the same pool cmd/topomapd fronts with HTTP; each client loops Submit+Await sequentially, so outstanding jobs = clients",
 		"allocs/run is the process-wide heap-allocation delta over the measured window divided by jobs (the E13 measure); the acceptance bound is served ≤ 2× the batch (E13) anchor row",
 		"warm% is the fraction of measured serves on an already-exercised session: 100 after warm-up, by construction of the pool",
-		"p50/p99 are client-observed submit-to-result latencies; oversubscribed rows (clients = 2×pool) queue, which shows up as latency, never as a result bit")
+		"p50/p99 are client-observed submit-to-result latencies; oversubscribed rows (clients = 2×pool) queue, which shows up as latency, never as a result bit",
+		hostNote())
 	return t, nil
 }
 

@@ -30,13 +30,12 @@ func TestQuiescentStepIsNoop(t *testing.T) {
 	if p.Busy() {
 		t.Fatal("a freshly reset non-root processor must be quiescent")
 	}
-	in := make([]wire.Message, 2)
-	out := make([]wire.Message, 2)
 	for tick := 0; tick < 64; tick++ {
-		p.Step(in, out)
-		for port, m := range out {
-			if !m.IsBlank() {
-				t.Fatalf("tick %d: quiescent processor emitted non-blank on out-port %d: %v", tick, port+1, m)
+		io := sim.NewPorts(make([]wire.Message, 2))
+		p.Step(io)
+		for port := 1; port <= 2; port++ {
+			if m := io.OutMessage(port); !m.IsBlank() {
+				t.Fatalf("tick %d: quiescent processor emitted non-blank on out-port %d: %v", tick, port, m)
 			}
 		}
 		if p.Busy() {

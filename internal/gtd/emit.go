@@ -1,19 +1,24 @@
 package gtd
 
 import (
+	"topomap/internal/sim"
 	"topomap/internal/snake"
 	"topomap/internal/wire"
 )
 
-// Dense growing-kind indices (the order of wire.GrowKindAt, pinned by the
-// compile-time asserts next to the live bits).
+// Dense growing- and dying-kind indices (the order of wire.GrowKindAt and
+// wire.DieKindAt, pinned by the compile-time asserts next to the live bits).
 const (
 	igIdx = 0
 	ogIdx = 1
 	bgIdx = 2
+
+	idIdx = 0
+	odIdx = 1
+	bdIdx = 2
 )
 
-// emit composes this tick's out-port messages from every live component.
+// emit composes this tick's out-port words from every live component.
 // Iterating the set bits of the occupancy mask (in ascending order — the
 // fixed component order of the paper's channel composition) means the
 // common step runs one or two emitters, where polling the dozen idle
@@ -21,7 +26,7 @@ const (
 // per-step cost (E15's fixed-overhead measurements). The mask is read from
 // a snapshot: an emitter draining a component leaves its stale bit for
 // refreshLive to clear at the end of the step.
-func (p *Processor) emit(out []wire.Message) {
+func (p *Processor) emit(io *sim.Ports) {
 	m := p.live
 	for m != 0 {
 		bit := m & (-m)
@@ -30,76 +35,75 @@ func (p *Processor) emit(out []wire.Message) {
 		// Growing snake relays (and the root's IG→OG converting
 		// relay, which emits in the OG alphabet).
 		case liveGrow0:
-			p.emitGrowAt(out, p.grow[0].Emit(), 0)
+			p.emitGrowAt(io, p.grow[0].Emit(), igIdx)
 		case liveGrow1:
-			p.emitGrowAt(out, p.grow[1].Emit(), 1)
+			p.emitGrowAt(io, p.grow[1].Emit(), ogIdx)
 		case liveGrow2:
-			p.emitGrowAt(out, p.grow[2].Emit(), 2)
+			p.emitGrowAt(io, p.grow[2].Emit(), bgIdx)
 		case liveRootConv:
-			p.emitGrowAt(out, p.root.conv.Emit(), ogIdx)
+			p.emitGrowAt(io, p.root.conv.Emit(), ogIdx)
 
 		// Baby snakes of the RCA and BCA initiators.
 		case liveRCAIni:
-			p.emitGrowAt(out, p.rca.ini.Emit(), igIdx)
+			p.emitGrowAt(io, p.rca.ini.Emit(), igIdx)
 		case liveBCAIni:
-			p.emitGrowAt(out, p.bcaI.ini.Emit(), bgIdx)
+			p.emitGrowAt(io, p.bcaI.ini.Emit(), bgIdx)
 
 		// Dying snake relays.
 		case liveDie0:
-			p.emitDieAt(out, 0)
+			p.emitDieAt(io, idIdx)
 		case liveDie1:
-			p.emitDieAt(out, 1)
+			p.emitDieAt(io, odIdx)
 		case liveDie2:
-			p.emitDieAt(out, 2)
+			p.emitDieAt(io, bdIdx)
 
 		// Dying snake converters.
 		case liveRCAConv:
 			if c, port, ok := p.rca.conv.Emit(); ok {
-				out[port-1].SetDieAt(0, c.Die(wire.KindID))
+				io.SetDie(int(port), idIdx, c.Word())
 			}
 		case liveODConv:
 			if c, port, ok := p.root.odConv.Emit(); ok {
-				out[port-1].SetDieAt(1, c.Die(wire.KindOD))
+				io.SetDie(int(port), odIdx, c.Word())
 			}
 		case liveBCAConv:
 			if c, port, ok := p.bcaI.conv.Emit(); ok {
-				out[port-1].SetDieAt(2, c.Die(wire.KindBD))
+				io.SetDie(int(port), bdIdx, c.Word())
 			}
 
 		// Loop token in transit through this processor.
 		case liveMarks:
 			if t, port, ok := p.marks.emit(); ok {
-				out[port-1].SetLoop(t)
+				io.SetLoop(int(port), wire.PackLoopToken(t))
 			}
 
 		// KILL token completing its residual hold.
 		case liveKill:
 			if p.killPending == 0 {
 				p.killPending = -1
-				p.broadcastKill(out)
+				p.broadcastKill(io)
 			}
 		}
 	}
 
 	// Freshly created constructs.
 	if p.scratch.loopSet {
-		out[p.scratch.loopPort-1].SetLoop(p.scratch.loopTok)
+		io.SetLoop(int(p.scratch.loopPort), wire.PackLoopToken(p.scratch.loopTok))
 	}
 	if p.scratch.killNow {
-		p.broadcastKill(out)
+		p.broadcastKill(io)
 	}
 	if p.scratch.dfsSet {
-		out[p.scratch.dfsPort-1].SetDFS(wire.DFSToken{Out: p.scratch.dfsPort})
+		io.SetDFS(int(p.scratch.dfsPort), p.scratch.dfsPort)
 	}
 }
 
 // emitDieAt forwards one dying-snake relay's emission; i is the kind's
 // dense index.
-func (p *Processor) emitDieAt(out []wire.Message, i int) {
-	kind := wire.DieKindAt(i)
+func (p *Processor) emitDieAt(io *sim.Ports, i int) {
 	if c, port, ok := p.die[i].Emit(); ok {
-		out[port-1].SetDieAt(i, c.Die(kind))
-		if kind == wire.KindBD && c.Part == wire.Tail && p.bcaT.armed {
+		io.SetDie(int(port), i, c.Word())
+		if i == bdIdx && c.Part == wire.Tail && p.bcaT.armed {
 			// The target has forwarded the BD tail: release KILL and
 			// ACK (mirroring RCA step 4).
 			p.bcaTargetRelease()
@@ -108,30 +112,23 @@ func (p *Processor) emitDieAt(out []wire.Message, i int) {
 }
 
 // emitGrowAt broadcasts a growing-snake emission through every wired
-// out-port; idx is the kind's dense index (callers on the hot path know it
-// statically, skipping the kind dispatch of Message.SetGrow).
-func (p *Processor) emitGrowAt(out []wire.Message, g snake.GrowOut, idx int) {
+// out-port; idx is the kind's dense index.
+func (p *Processor) emitGrowAt(io *sim.Ports, g snake.GrowOut, idx int) {
 	if !g.Has {
 		return
 	}
-	kind := wire.GrowKindAt(idx)
 	for port := 1; port <= p.delta(); port++ {
-		if !p.info.outWired(port) {
-			continue
+		if p.info.outWired(port) {
+			io.SetGrow(port, idx, g.On(port))
 		}
-		c := g.Char
-		if g.PerPort {
-			c = snake.Char{Part: g.Char.Part, Out: uint8(port), In: wire.Star}
-		}
-		out[port-1].SetGrowAt(idx, c.Grow(kind))
 	}
 }
 
 // broadcastKill emits the KILL token through every wired out-port.
-func (p *Processor) broadcastKill(out []wire.Message) {
+func (p *Processor) broadcastKill(io *sim.Ports) {
 	for port := 1; port <= p.delta(); port++ {
 		if p.info.outWired(port) {
-			out[port-1].Kill = true
+			io.SetKill(port)
 		}
 	}
 }

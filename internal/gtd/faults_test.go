@@ -33,6 +33,7 @@ import (
 // at one chosen tick — a transient transmitter brown-out.
 type faultyNode struct {
 	inner    sim.Automaton
+	delta    int
 	tick     int
 	dropAt   int
 	anything bool
@@ -40,17 +41,53 @@ type faultyNode struct {
 
 func (f *faultyNode) Busy() bool { return f.inner.Busy() }
 
-func (f *faultyNode) Step(in, out []wire.Message) {
-	f.inner.Step(in, out)
+func (f *faultyNode) Step(io *sim.Ports) {
 	if f.tick == f.dropAt {
-		for i := range out {
-			if !out[i].IsBlank() {
-				out[i] = wire.Message{}
+		// Step on a harness copy of the inputs and discard its output.
+		h := sim.NewPorts(inMessages(io, f.delta))
+		f.inner.Step(h)
+		for p := 1; p <= f.delta; p++ {
+			if m := h.OutMessage(p); !m.IsBlank() {
 				f.anything = true
 			}
 		}
+	} else {
+		f.inner.Step(io)
 	}
 	f.tick++
+}
+
+// inMessages materialises every in-port of io.
+func inMessages(io *sim.Ports, delta int) []wire.Message {
+	in := make([]wire.Message, delta)
+	for p := range in {
+		in[p] = io.InMessage(p + 1)
+	}
+	return in
+}
+
+// copyOut writes what the harness h emitted into io's out side.
+func copyOut(io, h *sim.Ports, delta int) {
+	for p := 1; p <= delta; p++ {
+		m := h.OutMessage(p)
+		for k := 0; k < 3; k++ {
+			if m.HasGrowKind(k) {
+				io.SetGrow(p, k, wire.PackGrowChar(m.Grow[k]))
+			}
+			if m.HasDieKind(k) {
+				io.SetDie(p, k, wire.PackDieChar(m.Die[k]))
+			}
+		}
+		if m.HasLoop() {
+			io.SetLoop(p, wire.PackLoopToken(m.Loop))
+		}
+		if m.HasDFS() {
+			io.SetDFS(p, m.DFS.Out)
+		}
+		if m.Kill {
+			io.SetKill(p)
+		}
+	}
 }
 
 // runWithFault executes GTD with node victim dropping its output at the
@@ -70,7 +107,7 @@ func runWithFault(g *graph.Graph, victim, dropAt int) (outcome string) {
 	}, func(info sim.NodeInfo) sim.Automaton {
 		p := gtd.New(func() *gtd.Config { c := gtd.DefaultConfig(); return &c }(), info)
 		if info.Index == victim {
-			fn = &faultyNode{inner: p, dropAt: dropAt}
+			fn = &faultyNode{inner: p, delta: info.Delta, dropAt: dropAt}
 			return fn
 		}
 		return p
@@ -332,6 +369,7 @@ func leakCheck(t *testing.T, name string, fn func()) {
 // bit-flip at the receiver boundary.
 type corruptIn struct {
 	inner sim.Automaton
+	delta int
 	tick  int
 	at    int
 	did   bool
@@ -339,19 +377,25 @@ type corruptIn struct {
 
 func (c *corruptIn) Busy() bool { return c.inner.Busy() }
 
-func (c *corruptIn) Step(in, out []wire.Message) {
-	if c.tick == c.at {
-		for p := range in {
-			i := wire.GrowIndex(wire.KindIG)
-			if in[p].HasGrowKind(i) && in[p].Grow[i].Part != wire.Tail {
-				in[p].Grow[i].Out = in[p].Grow[i].Out%2 + 1
-				c.did = true
-				break
-			}
+func (c *corruptIn) Step(io *sim.Ports) {
+	at := c.tick == c.at
+	c.tick++
+	if !at {
+		c.inner.Step(io)
+		return
+	}
+	in := inMessages(io, c.delta)
+	for p := range in {
+		i := wire.GrowIndex(wire.KindIG)
+		if in[p].HasGrowKind(i) && in[p].Grow[i].Part != wire.Tail {
+			in[p].Grow[i].Out = in[p].Grow[i].Out%2 + 1
+			c.did = true
+			break
 		}
 	}
-	c.tick++
-	c.inner.Step(in, out)
+	h := sim.NewPorts(in)
+	c.inner.Step(h)
+	copyOut(io, h, c.delta)
 }
 
 // TestBitFlipOutcomes characterises bit-flip corruption. Unlike drops,
@@ -378,7 +422,7 @@ func TestBitFlipOutcomes(t *testing.T) {
 			}, func(info sim.NodeInfo) sim.Automaton {
 				p := gtd.New(func() *gtd.Config { c := gtd.DefaultConfig(); return &c }(), info)
 				if info.Index == 5 {
-					cw = &corruptIn{inner: p, at: at}
+					cw = &corruptIn{inner: p, delta: info.Delta, at: at}
 					return cw
 				}
 				return p

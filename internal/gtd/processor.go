@@ -414,8 +414,10 @@ func (p *Processor) refreshLive() {
 	}
 }
 
-// Step implements sim.Automaton.
-func (p *Processor) Step(in, out []wire.Message) {
+// Step implements sim.Automaton: it dispatches on each in-port's mask word
+// and moves characters between the packed wire words and snake.Char (a
+// growing character a relay only forwards stays a word throughout).
+func (p *Processor) Step(io *sim.Ports) {
 	p.scratch = scratch{}
 	p.beginTick()
 
@@ -424,40 +426,16 @@ func (p *Processor) Step(in, out []wire.Message) {
 	// fresh snake character sharing a wire with a relayed KILL (both
 	// emitted by the same upstream processor in one tick) belongs to the
 	// *new* transaction and must survive.
+	var all uint16
 	for port := 1; port <= p.delta(); port++ {
-		if in[port-1].Kill {
-			p.handleKill()
-			break
-		}
+		all |= io.InMask(port)
+	}
+	if all&wire.KillBit != 0 {
+		p.handleKill()
 	}
 
-	// Input phase: ports in ascending order so the paper's simultaneity
-	// tie-break (lowest in-port first) holds.
-	for port := 1; port <= p.delta(); port++ {
-		m := &in[port-1]
-		if m.IsBlank() {
-			continue
-		}
-		for i := 0; i < wire.NumGrowKinds; i++ {
-			if m.HasGrowKind(i) {
-				c := snake.FromGrow(m.Grow[i])
-				if c.Part != wire.Tail && c.In == wire.Star {
-					c.In = uint8(port)
-				}
-				p.receiveGrow(wire.GrowKindAt(i), c, uint8(port))
-			}
-		}
-		for i := 0; i < wire.NumDieKinds; i++ {
-			if m.HasDieKind(i) {
-				p.receiveDie(wire.DieKindAt(i), snake.FromDie(m.Die[i]), uint8(port))
-			}
-		}
-		if m.HasLoop() {
-			p.receiveLoop(m.Loop, uint8(port))
-		}
-		if m.HasDFS() {
-			p.receiveDFS(m.DFS.Out, uint8(port))
-		}
+	if all&^wire.KillBit != 0 {
+		p.receive(io)
 	}
 
 	if p.rootKick {
@@ -473,8 +451,37 @@ func (p *Processor) Step(in, out []wire.Message) {
 		p.startBCA(p.kickPort, p.kickPayload)
 	}
 
-	p.emit(out)
+	p.emit(io)
 	p.refreshLive()
+}
+
+// receive is Step's input phase: ports in ascending order so the paper's
+// simultaneity tie-break (lowest in-port first) holds.
+func (p *Processor) receive(io *sim.Ports) {
+	for port := 1; port <= p.delta(); port++ {
+		m := io.InMask(port) &^ wire.KillBit
+		if m == 0 {
+			continue
+		}
+		for i := 0; m&wire.GrowBits != 0; i++ {
+			if m&(wire.GrowBit0<<i) != 0 {
+				m &^= wire.GrowBit0 << i
+				p.receiveGrow(i, snake.Arrive(io.InGrow(port, i), uint8(port)), uint8(port))
+			}
+		}
+		for i := 0; m&wire.DieBits != 0; i++ {
+			if m&(wire.DieBit0<<i) != 0 {
+				m &^= wire.DieBit0 << i
+				p.receiveDie(i, snake.CharOf(io.InDie(port, i)), uint8(port))
+			}
+		}
+		if m&wire.LoopBit != 0 {
+			p.receiveLoop(wire.UnpackLoopToken(io.InLoop(port)), uint8(port))
+		}
+		if m&wire.DFSBit != 0 {
+			p.receiveDFS(io.InDFS(port), uint8(port))
+		}
+	}
 }
 
 // beginTick ages every live pipeline exactly once; idle components (clear

@@ -1,16 +1,16 @@
 package gtd
 
 import (
-	"fmt"
-
 	"topomap/internal/snake"
 	"topomap/internal/wire"
 )
 
-// receiveGrow routes an arriving growing-snake character.
-func (p *Processor) receiveGrow(kind wire.SnakeKind, c snake.Char, port uint8) {
-	switch kind {
-	case wire.KindIG:
+// receiveGrow routes an arriving growing-snake character of dense kind
+// index i, as its packed word with the ∗ entry already rewritten: relays
+// queue the word as it came, the initiators unpack it.
+func (p *Processor) receiveGrow(i int, w uint16, port uint8) {
+	switch i {
+	case igIdx:
 		if p.info.root {
 			// RCA step 2: the root accepts the first IG snake and
 			// converts it to the OG broadcast; the relay's
@@ -18,7 +18,7 @@ func (p *Processor) receiveGrow(kind wire.SnakeKind, c snake.Char, port uint8) {
 			// to all other IG-snakes". A sealed converter (KILL
 			// passed; conversion complete) drops stragglers.
 			if !p.root.sealed {
-				p.root.conv.Receive(c, port)
+				p.root.conv.Receive(w, port)
 				p.live |= liveRootConv
 			}
 			return
@@ -27,30 +27,28 @@ func (p *Processor) receiveGrow(kind wire.SnakeKind, c snake.Char, port uint8) {
 			// The initiator is deaf to its own flood.
 			return
 		}
-		p.grow[igIdx].Receive(c, port)
+		p.grow[igIdx].Receive(w, port)
 		p.live |= liveGrow0
 
-	case wire.KindOG:
+	case ogIdx:
 		if p.info.root {
 			// The root drops its own OG flood.
 			return
 		}
 		if p.rca.phase != rcaIdle {
-			p.rcaReceiveOG(c, port)
+			p.rcaReceiveOG(snake.CharOf(w), port)
 			return
 		}
-		p.grow[ogIdx].Receive(c, port)
+		p.grow[ogIdx].Receive(w, port)
 		p.live |= liveGrow1
 
-	case wire.KindBG:
+	case bgIdx:
 		if p.bcaI.phase != biIdle {
-			p.bcaReceiveBG(c, port)
+			p.bcaReceiveBG(snake.CharOf(w), port)
 			return
 		}
-		p.grow[bgIdx].Receive(c, port)
+		p.grow[bgIdx].Receive(w, port)
 		p.live |= liveGrow2
-	default:
-		panic(fmt.Sprintf("gtd: growing character of kind %v", kind))
 	}
 }
 
@@ -126,10 +124,10 @@ func (p *Processor) bcaReceiveBG(c snake.Char, port uint8) {
 	}
 }
 
-// receiveDie routes an arriving dying-snake character.
-func (p *Processor) receiveDie(kind wire.SnakeKind, c snake.Char, port uint8) {
-	switch kind {
-	case wire.KindID:
+// receiveDie routes an arriving dying-snake character of dense kind index i.
+func (p *Processor) receiveDie(i int, c snake.Char, port uint8) {
+	switch i {
+	case idIdx:
 		if p.info.root {
 			p.rootReceiveID(c, port)
 			return
@@ -139,7 +137,7 @@ func (p *Processor) receiveDie(kind wire.SnakeKind, c snake.Char, port uint8) {
 			p.marks.setSlot1(ev.Pred, ev.Succ)
 		}
 
-	case wire.KindOD:
+	case odIdx:
 		if p.rca.phase == rcaConverting {
 			// RCA step 3 completion at A: only the OD tail ever
 			// reaches the initiator.
@@ -157,7 +155,7 @@ func (p *Processor) receiveDie(kind wire.SnakeKind, c snake.Char, port uint8) {
 			p.marks.setSlot2(ev.Pred, ev.Succ)
 		}
 
-	case wire.KindBD:
+	case bdIdx:
 		if p.bcaI.phase == biConverting || p.bcaI.phase == biMarked {
 			if port == p.bcaI.targetPort {
 				// The BD tail re-entering B: the loop is fully
@@ -185,8 +183,6 @@ func (p *Processor) receiveDie(kind wire.SnakeKind, c snake.Char, port uint8) {
 				p.cfg.hook(p.node(), EvBCADelivered, int(ev.Payload))
 			}
 		}
-	default:
-		panic(fmt.Sprintf("gtd: dying character of kind %v", kind))
 	}
 }
 

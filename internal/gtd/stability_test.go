@@ -82,10 +82,11 @@ type badEmitter struct {
 
 func (b *badEmitter) Busy() bool { return b.fire }
 
-func (b *badEmitter) Step(in, out []wire.Message) {
+func (b *badEmitter) Step(io *sim.Ports) {
 	if b.fire {
 		b.fire = false
-		out[0].SetGrow(wire.GrowChar{Kind: wire.KindIG, Part: wire.Head, Out: 99, In: 1})
+		io.SetGrow(1, wire.GrowIndex(wire.KindIG),
+			wire.PackGrowChar(wire.GrowChar{Kind: wire.KindIG, Part: wire.Head, Out: 9, In: 1}))
 	}
 }
 

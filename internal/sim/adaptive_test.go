@@ -10,7 +10,6 @@ import (
 	"topomap/internal/graph"
 	"topomap/internal/gtd"
 	"topomap/internal/sim"
-	"topomap/internal/wire"
 )
 
 // dispatch names one way of driving an engine. Every way must produce the
@@ -368,7 +367,7 @@ func (h *holdTicker) Hold() int {
 	return h.hold
 }
 func (h *holdTicker) AdvanceHold(n int) { h.left -= n }
-func (h *holdTicker) Step(in, out []wire.Message) {
+func (h *holdTicker) Step(*sim.Ports) {
 	if h.left > 0 {
 		h.left--
 	}

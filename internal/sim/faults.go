@@ -65,11 +65,7 @@ func (e *Engine) installFaults(n int) {
 	if len(f.Crashes) == 0 {
 		return
 	}
-	if cap(e.crashAt) >= n {
-		e.crashAt = e.crashAt[:n]
-	} else {
-		e.crashAt = make([]int, n)
-	}
+	e.crashAt = sized(e.crashAt, n)
 	for v := range e.crashAt {
 		e.crashAt[v] = math.MaxInt
 	}

@@ -9,7 +9,6 @@ import (
 	"topomap/internal/graph"
 	"topomap/internal/gtd"
 	"topomap/internal/sim"
-	"topomap/internal/wire"
 )
 
 // denseSparseTranscript runs the full protocol and renders the root
@@ -245,14 +244,14 @@ type holdRelay struct {
 
 func (h *holdRelay) Busy() bool { return h.kick || h.holding >= 0 }
 
-func (h *holdRelay) Step(in, out []wire.Message) {
+func (h *holdRelay) Step(io *sim.Ports) {
 	h.steps++
-	if !in[0].IsBlank() {
+	if io.InMask(1) != 0 {
 		h.holding = h.hold
 	}
 	if h.kick {
 		h.kick = false
-		out[0].Kill = true
+		io.SetKill(1)
 		return
 	}
 	if h.holding > 0 {
@@ -261,7 +260,7 @@ func (h *holdRelay) Step(in, out []wire.Message) {
 	}
 	if h.holding == 0 {
 		h.holding = -1
-		out[0].Kill = true
+		io.SetKill(1)
 	}
 }
 
@@ -312,7 +311,7 @@ func TestFrontierBusyRelayStepCount(t *testing.T) {
 type sinkNode struct{ steps int }
 
 func (s *sinkNode) Busy() bool { return false }
-func (s *sinkNode) Step(in, out []wire.Message) {
+func (s *sinkNode) Step(*sim.Ports) {
 	s.steps++
 }
 
@@ -320,10 +319,10 @@ func (s *sinkNode) Step(in, out []wire.Message) {
 type feeder struct{ kick bool }
 
 func (f *feeder) Busy() bool { return f.kick }
-func (f *feeder) Step(in, out []wire.Message) {
+func (f *feeder) Step(io *sim.Ports) {
 	if f.kick {
 		f.kick = false
-		out[0].Kill = true
+		io.SetKill(1)
 	}
 }
 
@@ -375,11 +374,11 @@ type armable struct {
 }
 
 func (a *armable) Busy() bool { return a.armed }
-func (a *armable) Step(in, out []wire.Message) {
+func (a *armable) Step(io *sim.Ports) {
 	a.stepped = append(a.stepped, a.tick())
 	if a.armed {
 		a.armed = false
-		out[0].Kill = true
+		io.SetKill(1)
 	}
 }
 
@@ -388,7 +387,7 @@ func (a *armable) Step(in, out []wire.Message) {
 type ticker struct{ left int }
 
 func (tk *ticker) Busy() bool { return tk.left > 0 }
-func (tk *ticker) Step(in, out []wire.Message) {
+func (tk *ticker) Step(*sim.Ports) {
 	if tk.left > 0 {
 		tk.left--
 	}

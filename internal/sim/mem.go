@@ -1,15 +1,5 @@
 package sim
 
-import (
-	"unsafe"
-
-	"topomap/internal/wire"
-)
-
-// messageSize is the struct size of the Automaton-boundary message; only
-// scratch buffers (per-shard, length δ) hold it — never per-wire state.
-const messageSize = int64(unsafe.Sizeof(wire.Message{}))
-
 // MemInfo is the engine's resident-memory accounting: the bytes its
 // long-lived per-node and per-wire buffers pin, broken down by subsystem.
 // It is deliberately separate from Stats — statistics are protocol
@@ -23,7 +13,8 @@ type MemInfo struct {
 	// StampBytes covers the five epoch-stamp planes.
 	StampBytes int64
 	// SchedBytes covers the scheduler state: frontier buffers, timing
-	// wheel, holder cache, automaton table, shard buffers and scratch.
+	// wheel, holder cache, automaton table, and the shard buffers with
+	// their δ-slot out planes.
 	SchedBytes int64
 	// TotalBytes is the sum of the above. It excludes the automata
 	// themselves (owned by the factory; see gtd.Arena.FootprintBytes)
@@ -38,11 +29,7 @@ type MemInfo struct {
 // between ticks or from a Progress poll.
 func (e *Engine) Mem() MemInfo {
 	var m MemInfo
-	planeBytes := func(pl *wirePlane) int64 {
-		return int64(cap(pl.mask))*2 + int64(cap(pl.grow))*2 +
-			int64(cap(pl.die))*2 + int64(cap(pl.loop))*2 + int64(cap(pl.dfs))
-	}
-	m.WireBytes = planeBytes(&e.cur) + planeBytes(&e.nxt) +
+	m.WireBytes = e.cur.bytes() + e.nxt.bytes() +
 		int64(cap(e.route))*4
 
 	m.StampBytes = int64(cap(e.hasStamp)+cap(e.nextHasStamp)+cap(e.enqStamp)+
@@ -57,8 +44,7 @@ func (e *Engine) Mem() MemInfo {
 	m.SchedBytes += int64(cap(e.procs)) * 2 * ptrSize
 	m.SchedBytes += int64(cap(e.crashAt)) * ptrSize
 	shardBytes := func(sh *shard) int64 {
-		return int64(cap(sh.next))*4 + int64(cap(sh.wakes))*5 +
-			int64(cap(sh.in)+cap(sh.out))*messageSize
+		return int64(cap(sh.next))*4 + int64(cap(sh.wakes))*5 + sh.io.out.bytes()
 	}
 	m.SchedBytes += shardBytes(&e.seqSh)
 	for i := range e.shards {
@@ -70,4 +56,9 @@ func (e *Engine) Mem() MemInfo {
 		m.BytesPerNode = float64(m.TotalBytes) / float64(n)
 	}
 	return m
+}
+
+// bytes is the capacity the plane pins: 17 bytes per port slot.
+func (pl *wirePlane) bytes() int64 {
+	return int64(cap(pl.mask)+cap(pl.grow)+cap(pl.die)+cap(pl.loop))*2 + int64(cap(pl.dfs))
 }

@@ -266,9 +266,9 @@ type floodNode struct {
 
 func (f *floodNode) Busy() bool { return f.kick || f.seen }
 
-func (f *floodNode) Step(in, out []wire.Message) {
+func (f *floodNode) Step(io *sim.Ports) {
 	for p := 1; p <= f.info.Delta; p++ {
-		if !in[p-1].IsBlank() {
+		if io.InMask(p) != 0 {
 			f.seen = true
 		}
 	}
@@ -276,8 +276,8 @@ func (f *floodNode) Step(in, out []wire.Message) {
 		f.kick = false
 		for p := 1; p <= f.info.Delta; p++ {
 			if f.info.OutWired(p) {
-				// Deliberately malformed ports (200 > δ) to trip -validate.
-				out[p-1].SetGrow(wire.GrowChar{Kind: wire.KindIG, Out: 200, In: 200})
+				// Deliberately malformed ports (31 > δ) to trip -validate.
+				io.SetGrow(p, 0, wire.PackGrowChar(wire.GrowChar{Kind: wire.KindIG, Out: 31, In: 31}))
 			}
 		}
 	}

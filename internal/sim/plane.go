@@ -1,6 +1,10 @@
 package sim
 
-import "topomap/internal/wire"
+import (
+	"fmt"
+
+	"topomap/internal/wire"
+)
 
 // The engine stores wire state as struct-of-arrays planes rather than dense
 // []wire.Message rows: a narrow per-port mask word (presence bits plus the
@@ -30,32 +34,11 @@ type wirePlane struct {
 // the mask plane is cleared on reuse: payload words are unreachable behind
 // a clear mask.
 func (pl *wirePlane) resize(need int) {
-	if cap(pl.mask) >= need {
-		pl.mask = pl.mask[:need]
-		clear(pl.mask)
-	} else {
-		pl.mask = make([]uint16, need)
-	}
-	if cap(pl.grow) >= 3*need {
-		pl.grow = pl.grow[:3*need]
-	} else {
-		pl.grow = make([]uint16, 3*need)
-	}
-	if cap(pl.die) >= 3*need {
-		pl.die = pl.die[:3*need]
-	} else {
-		pl.die = make([]uint16, 3*need)
-	}
-	if cap(pl.loop) >= need {
-		pl.loop = pl.loop[:need]
-	} else {
-		pl.loop = make([]uint16, need)
-	}
-	if cap(pl.dfs) >= need {
-		pl.dfs = pl.dfs[:need]
-	} else {
-		pl.dfs = make([]uint8, need)
-	}
+	pl.mask = zeroed(pl.mask, need)
+	pl.grow = sized(pl.grow, 3*need)
+	pl.die = sized(pl.die, 3*need)
+	pl.loop = sized(pl.loop, need)
+	pl.dfs = sized(pl.dfs, need)
 }
 
 // loadPort materialises port slot i into m: presence state from the mask
@@ -85,42 +68,129 @@ func (pl *wirePlane) loadPort(i int, m *wire.Message) {
 	}
 }
 
-// load materialises node slots [base, base+delta) into dst. dirty reports
-// that dst may still carry masks from a previous node's load, so blank
-// slots must re-blank their scratch entry; with a clean scratch they cost
-// one mask load each.
-func (pl *wirePlane) load(base, delta int, dst []wire.Message, dirty bool) {
-	for p := 0; p < delta; p++ {
-		if pl.mask[base+p] == 0 {
-			if dirty {
-				dst[p].Blank()
-			}
-			continue
-		}
-		pl.loadPort(base+p, &dst[p])
+// copySlot copies port slot j of src into slot i, mask-gated per channel
+// family: the word under a clear bit is stale either way.
+func (pl *wirePlane) copySlot(i int, src *wirePlane, j int) {
+	w := src.mask[j]
+	pl.mask[i] = w
+	if w&wire.GrowBits != 0 {
+		copy(pl.grow[3*i:3*i+3], src.grow[3*j:3*j+3])
+	}
+	if w&wire.DieBits != 0 {
+		copy(pl.die[3*i:3*i+3], src.die[3*j:3*j+3])
+	}
+	if w&wire.LoopBit != 0 {
+		pl.loop[i] = src.loop[j]
+	}
+	if w&wire.DFSBit != 0 {
+		pl.dfs[i] = src.dfs[j]
 	}
 }
 
-// store packs the non-blank message m into port slot i: the mask word plus
-// only the occupied channels. Exactly one writer stores to any slot per
-// tick (one wire feeds each in-port), so no synchronisation is needed.
-func (pl *wirePlane) store(i int, m *wire.Message) {
-	pl.mask[i] = m.MaskWord()
-	for k := 0; k < 3; k++ {
-		if m.HasGrowKind(k) {
-			pl.grow[3*i+k] = wire.PackGrowChar(m.Grow[k])
-		}
-		if m.HasDieKind(k) {
-			pl.die[3*i+k] = wire.PackDieChar(m.Die[k])
-		}
-	}
-	if m.HasLoop() {
-		pl.loop[i] = wire.PackLoopToken(m.Loop)
-	}
-	if m.HasDFS() {
-		pl.dfs[i] = m.DFS.Out
-	}
+// Ports is one processor's view of its wires for the tick in flight. The in
+// side reads the node's δ slots of the tick-t plane in place; the out side
+// writes a δ-slot plane owned by the stepping shard, which the engine routes
+// into the tick-t+1 plane after Step returns. Words use the packed layout of
+// wire/plane.go; channel k of a family is the dense kind index. Ports are
+// 1-based, and a word is meaningful only under its mask bit.
+type Ports struct {
+	in   *wirePlane
+	base int // the node's first slot in in
+	out  wirePlane
 }
+
+// NewPorts returns a standalone view of len(in) ports whose in side holds in
+// and whose out side is blank: a harness for stepping an automaton outside an
+// engine, read back with OutMessage.
+func NewPorts(in []wire.Message) *Ports {
+	io := &Ports{in: &wirePlane{}}
+	io.in.resize(len(in))
+	io.out.resize(len(in))
+	for p := range in {
+		m := &in[p]
+		io.in.mask[p] = m.MaskWord()
+		for k := 0; k < 3; k++ {
+			io.in.grow[3*p+k] = wire.PackGrowChar(m.Grow[k])
+			io.in.die[3*p+k] = wire.PackDieChar(m.Die[k])
+		}
+		io.in.loop[p] = wire.PackLoopToken(m.Loop)
+		io.in.dfs[p] = m.DFS.Out
+	}
+	return io
+}
+
+// InMask returns in-port port's mask word: presence bits | wire.KillBit.
+func (io *Ports) InMask(port int) uint16 { return io.in.mask[io.base+port-1] }
+
+// InGrow returns the growing character of dense kind k on in-port port.
+func (io *Ports) InGrow(port, k int) uint16 { return io.in.grow[3*(io.base+port-1)+k] }
+
+// InDie returns the dying character of dense kind k on in-port port.
+func (io *Ports) InDie(port, k int) uint16 { return io.in.die[3*(io.base+port-1)+k] }
+
+// InLoop returns the loop token on in-port port.
+func (io *Ports) InLoop(port int) uint16 { return io.in.loop[io.base+port-1] }
+
+// InDFS returns the DFS token's out-port entry on in-port port.
+func (io *Ports) InDFS(port int) uint8 { return io.in.dfs[io.base+port-1] }
+
+// InMessage materialises in-port port as a wire.Message.
+func (io *Ports) InMessage(port int) wire.Message {
+	var m wire.Message
+	io.in.loadPort(io.base+port-1, &m)
+	return m
+}
+
+// OutMessage materialises what Step wrote to out-port port.
+func (io *Ports) OutMessage(port int) wire.Message {
+	var m wire.Message
+	io.out.loadPort(port-1, &m)
+	return m
+}
+
+// SetGrow writes the growing character w of dense kind k to out-port port.
+// Like wire.Message.SetGrow, it panics if the channel is already set.
+func (io *Ports) SetGrow(port, k int, w uint16) {
+	bit := wire.GrowBit0 << k
+	if io.out.mask[port-1]&bit != 0 {
+		panic(fmt.Sprintf("wire: duplicate %v character in one tick", wire.GrowKindAt(k)))
+	}
+	io.out.grow[3*(port-1)+k] = w
+	io.out.mask[port-1] |= bit
+}
+
+// SetDie writes the dying character w of dense kind k to out-port port.
+func (io *Ports) SetDie(port, k int, w uint16) {
+	bit := wire.DieBit0 << k
+	if io.out.mask[port-1]&bit != 0 {
+		panic(fmt.Sprintf("wire: duplicate %v character in one tick", wire.DieKindAt(k)))
+	}
+	io.out.die[3*(port-1)+k] = w
+	io.out.mask[port-1] |= bit
+}
+
+// SetLoop writes the loop token w to out-port port.
+func (io *Ports) SetLoop(port int, w uint16) {
+	if io.out.mask[port-1]&wire.LoopBit != 0 {
+		panic("wire: duplicate loop token in one tick")
+	}
+	io.out.loop[port-1] = w
+	io.out.mask[port-1] |= wire.LoopBit
+}
+
+// SetDFS writes the DFS token, carrying out-port entry outP, to out-port
+// port.
+func (io *Ports) SetDFS(port int, outP uint8) {
+	if io.out.mask[port-1]&wire.DFSBit != 0 {
+		panic("wire: duplicate DFS token in one tick")
+	}
+	io.out.dfs[port-1] = outP
+	io.out.mask[port-1] |= wire.DFSBit
+}
+
+// SetKill puts the KILL token on out-port port (a flag: setting it twice is
+// harmless, as with wire.Message.Kill).
+func (io *Ports) SetKill(port int) { io.out.mask[port-1] |= wire.KillBit }
 
 // unrouted marks an unwired out-port in the packed routing table.
 const unrouted = ^uint32(0)

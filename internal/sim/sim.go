@@ -2,60 +2,41 @@
 // (§1.1): a global clock, identical processors that within a single pulse
 // read all in-ports, change state, and write all out-ports, and
 // unidirectional wires each carrying one constant-size symbol per tick.
-// Quiescent processors emit the blank character (the zero wire.Message).
-//
-// The engine is deterministic: given the same graph and automata it produces
-// the same transcript every run.
+// Wire state lives in packed struct-of-arrays planes (plane.go), and a
+// processor's pulse reads and writes them directly through a Ports view:
+// its in side is the node's slots of the tick-t plane, its out side a δ-slot
+// plane the engine routes into tick t+1. Quiescent processors write nothing
+// (the blank character). wire.Message is materialised only for the root's
+// transcript, Options.Validate and PendingIn. The engine is deterministic:
+// given the same graph and automata it produces the same transcript every
+// run.
 //
 // # Sparse frontier scheduling
 //
 // Goldstein's protocol keeps only a handful of processors non-quiescent per
-// pulse (§2, Lemma 4.4: per-pulse activity is bounded by transaction
-// structure, not network size), so the engine schedules each tick from a
-// sparse frontier rather than sweeping all N nodes. The tick-t frontier is
-// exactly the processors that may act at t: those holding a symbol delivered
-// at t-1 plus those stepped at t-1 that still report Busy(). It is
-// maintained incrementally — a delivery to dst enqueues dst for t+1, a
-// stepped node re-enqueues itself while busy, both deduplicated by per-node
-// epoch stamps — so a tick costs O(active), not O(N): stepping, MaxActive
-// tracking, and the quiescence check all touch only frontier nodes. A naive
-// mode steps every processor every tick (the dense reference path), and the
-// two are tested to produce identical transcripts, statistics, and failures.
+// pulse (§2, Lemma 4.4), so each tick steps a sparse frontier instead of all
+// N nodes: the processors holding a symbol delivered at t-1 plus those
+// stepped at t-1 that still report Busy(), maintained incrementally and
+// deduplicated by per-node epoch stamps, so a tick costs O(active). Naive
+// mode steps every processor every tick (the dense reference path); the two
+// are tested to produce identical transcripts, statistics, and failures.
 //
-// # Parallel execution
+// # Parallel execution, dispatch, and hold timers
 //
-// A pulse of the paper's model is embarrassingly parallel by construction:
-// within one tick every processor reads only the symbols delivered at tick t
-// and writes only symbols to be delivered at tick t+1. The engine exploits
-// this with a sharded tick: the frontier (kept in ascending node order) is
-// split into contiguous shards, one worker goroutine steps each shard, and
-// wire state is double-buffered so all reads see tick t while all writes
-// target tick t+1. Because every in-port has exactly one incoming wire, no
-// two processors ever write the same buffer element; the only shared writes
-// (the per-node delivery stamp and the frontier-enqueue stamp) are
-// compare-and-swap races whose single winner performs the bookkeeping.
-// Per-shard statistics and frontier appends are merged in shard-index order
-// after the barrier and the merged frontier is sorted, so the transcript,
-// the statistics, and every observable of a run are bit-identical to the
-// sequential engine regardless of Options.Workers. The equivalence is
-// enforced by tests across graph families, seeds, and worker counts.
-//
-// # Dispatch, bursts, and hold timers
-//
-// One rule decides how a tick is dispatched: it fans out across the worker
-// pool when 1 < Workers ≤ GOMAXPROCS and its frontier holds at least
-// parallelCrossover nodes, the crossover measured by E15. Every other tick
-// runs in a sequential burst — back to back on the calling goroutine, with
-// no shard carving, no pool dispatch, and one panic guard per burst — which
-// ends as soon as the frontier reaches the crossover. Automata
-// implementing Holder report how long they are dormant (busy, but provably
-// a no-op for a known number of all-blank ticks — the paper's speed-1
-// constructs rest two ticks out of three); the engine parks them on a
-// timing wheel, replays the skipped aging in bulk before their next step,
-// and collapses globally idle ticks into an O(1) clock advance. Both
-// dispatch paths and every mechanism above preserve the observables bit
-// for bit; Stats.SeqTicks/ParTicks/Bursts record what the dispatcher
-// actually did.
+// Within one tick every processor reads only tick-t symbols and writes only
+// tick-t+1 symbols, and every in-port has exactly one incoming wire, so the
+// ascending frontier splits into contiguous shards stepped by a worker pool
+// with no two writers on one buffer element; the shared delivery and
+// enqueue stamps are compare-and-swap claims whose single winner does the
+// bookkeeping, and shard tallies merge in shard order, so every observable
+// is bit-identical for any Options.Workers. A tick fans out when
+// 1 < Workers ≤ GOMAXPROCS and its frontier holds at least
+// parallelCrossover nodes (measured by E15); every other tick runs in a
+// sequential burst on the calling goroutine. Automata implementing Holder
+// report how long they are dormant; the engine parks them on a timing
+// wheel, replays the skipped aging in bulk, and collapses globally idle
+// ticks into an O(1) clock advance. Stats.SeqTicks/ParTicks/Bursts record
+// what the dispatcher did.
 package sim
 
 import (
@@ -92,10 +73,11 @@ func (i NodeInfo) OutWired(p int) bool { return i.OutW&(1<<(p-1)) != 0 }
 
 // Automaton is one finite-state communication processor.
 type Automaton interface {
-	// Step advances the processor by one global clock tick. in[p-1] is
-	// the symbol read from in-port p (the blank message for quiescent or
-	// unwired ports); the processor writes its outputs into out[p-1],
-	// which the engine provides zeroed. Step must be deterministic.
+	// Step advances the processor by one global clock tick. It reads
+	// in-port p through io's In* accessors (a zero mask word is the blank
+	// symbol of a quiescent or unwired port) and writes out-port p through
+	// its Set* methods; the out side starts blank and the view is valid
+	// only during the call. Step must be deterministic.
 	//
 	// When Options.Workers enables the parallel tick, Step may be
 	// invoked concurrently for *different* processors of the same pulse
@@ -103,7 +85,7 @@ type Automaton interface {
 	// mutate its own state; any state shared across automata — such as
 	// instrumentation callbacks reached from Step — must be synchronised
 	// by whoever shares it (gtd.NewFactory serialises protocol hooks).
-	Step(in []wire.Message, out []wire.Message)
+	Step(io *Ports)
 	// Busy reports whether the processor may change state or emit a
 	// non-blank symbol even if every in-port reads blank. A processor
 	// that is not busy and receives only blanks is skipped by the sparse
@@ -348,42 +330,25 @@ type Engine struct {
 
 	// Wire state, double-buffered and packed (see wirePlane): cur holds
 	// the symbols delivered for the tick in flight, nxt accumulates
-	// deliveries for tick t+1; finishTick swaps them. wire.Message appears
-	// only at the Automaton boundary, materialised into per-shard scratch
-	// for the nodes actually stepped.
+	// deliveries for tick t+1; finishTick swaps them by value, so the
+	// shards' Ports keep pointing at cur.
 	cur wirePlane
 	nxt wirePlane
 
-	// Epoch-stamped activity planes. A node's entry equals the current
-	// epoch exactly when the condition holds for the tick in flight, so
-	// none of them is ever cleared between ticks:
-	//
-	//   hasStamp[v] == epoch      v holds a symbol delivered last tick
-	//   nextHasStamp[v] == epoch+1  v was delivered a symbol this tick
-	//                               (plane-swapped with hasStamp per tick;
-	//                               the CAS winner counts v once for the
-	//                               tick's live total)
-	//   enqStamp[v] == epoch+1    v is already enqueued on the next
-	//                             frontier (single plane: epoch values
-	//                             written to it strictly increase, so a
-	//                             stale mark never matches)
-	//
-	// nextHasStamp and enqStamp are written concurrently by workers via
-	// compare-and-swap; exactly one winner per (node, tick) does the
-	// bookkeeping. The planes are 32-bit (half the resident footprint of
-	// the former uint64 stamps); a run longer than ~4·10⁹ ticks would wrap
-	// the epoch, so rebaseEpochs translates every plane down and restarts
-	// the epoch well before the limit (see epochLimit).
+	// Epoch-stamped activity planes, never cleared between ticks (a stale
+	// epoch never matches): hasStamp[v] == epoch when v holds a symbol
+	// delivered last tick; nextHasStamp[v] == epoch+1 when v was delivered
+	// one this tick (swapped with hasStamp per tick); enqStamp[v] ==
+	// epoch+1 when v is already on the next frontier. Workers write the
+	// last two by compare-and-swap, and the single winner per (node, tick)
+	// does the bookkeeping. When the 32-bit epoch reaches epochLimit
+	// (defaultEpochLimit; tests lower it), rebaseEpochs translates every
+	// plane down, preserving all relative distances.
 	hasStamp     []uint32
 	nextHasStamp []uint32
 	enqStamp     []uint32
 	epoch        uint32
-	// epochLimit triggers the wrap-safe epoch rebase: when an epoch
-	// increment reaches it, every stamp plane is translated down so that
-	// relative distances (the only thing the stamp logic consumes) are
-	// preserved exactly. Set to defaultEpochLimit by New; tests lower it
-	// to exercise the rollover.
-	epochLimit uint32
+	epochLimit   uint32
 
 	// The double-buffered frontier: frontier lists the nodes to step this
 	// tick in ascending order; frontierNext accumulates next tick's
@@ -392,20 +357,14 @@ type Engine struct {
 	frontier     []int32
 	frontierNext []int32
 
-	// The timing wheel holds dormant-but-busy nodes: a Holder automaton
-	// that reports a positive hold after its step is parked in the slot
-	// of its wake tick instead of riding the frontier through every
-	// intervening no-op tick. wakeStamp[v] is the epoch at which v's
-	// (single) pending wake is due — 0 means none; an entry whose stamp
-	// no longer matches at promote time is stale (the node was stepped
-	// earlier, e.g. by a delivery) and is dropped. wheelLive counts live
-	// (non-stale) wakes: quiescence under sparse scheduling is an empty
-	// frontier AND an empty wheel. holderBits marks the nodes whose
-	// automaton implements Holder (one bit per node; the interface itself
-	// is re-asserted from procs at step time — a cached per-node interface
-	// value would cost 16 bytes/node); lastStep records the epoch of each
-	// node's last step, so the skipped aging can be replayed in bulk via
-	// AdvanceHold.
+	// The timing wheel parks dormant-but-busy Holder nodes in the slot of
+	// their wake tick. wakeStamp[v] is the epoch v's single pending wake
+	// is due (0 = none; a mismatch at promote time marks a stale entry,
+	// dropped). wheelLive counts live wakes: sparse quiescence is an empty
+	// frontier and an empty wheel. holderBits marks Holder automata (the
+	// interface is re-asserted at step time; caching it would cost 16
+	// bytes/node); lastStep is each node's last stepped epoch, for the
+	// bulk AdvanceHold replay.
 	wheel      [wheelSlots][]int32
 	wakeStamp  []uint32
 	wheelLive  int
@@ -422,13 +381,11 @@ type Engine struct {
 	// gtd.StartRCA) between construction and Run.
 	seeded bool
 
-	// Root transcript capture for the tick in flight; only the worker
-	// owning the root's shard writes rootIn/rootOut, which alias the
-	// reused rootInBuf/rootOutBuf scratch between ticks.
-	rootIn     []wire.Message
-	rootOut    []wire.Message
-	rootInBuf  []wire.Message
-	rootOutBuf []wire.Message
+	// Root transcript capture, reused every tick: rootLive reports that
+	// the tick in flight filled rootIn/rootOut. Only the worker stepping
+	// the root writes them.
+	rootIn, rootOut []wire.Message
+	rootLive        bool
 
 	// Resolved fault plan (see faults.go): the drop comparison bar, the
 	// per-node crash tick (math.MaxInt = never), and whether any crash is
@@ -460,10 +417,9 @@ type Engine struct {
 // shard is one worker's contiguous slice of the tick's work — frontier
 // indices under sparse scheduling, node indices in Naive mode — plus its
 // private tick tallies, next-frontier appends, timing-wheel traffic
-// (wake records and stale-entry counts), and the wire.Message scratch the
-// packed planes are materialised into for each stepped node; all tallies
-// are merged in shard-index order after the barrier, so nothing depends
-// on goroutine scheduling.
+// (wake records and stale-entry counts), and the Ports view its nodes step
+// through; all tallies are merged in shard-index order after the barrier,
+// so nothing depends on goroutine scheduling.
 type shard struct {
 	lo, hi    int
 	stepCalls int64
@@ -475,30 +431,17 @@ type shard struct {
 	dropped   int64     // symbols lost to fault injection this tick
 	next      []int32   // frontier appends for tick t+1 (sparse mode)
 	wakes     []wakeRec // timing-wheel appends (sparse mode)
-
-	// in/out are the per-step Automaton boundary buffers (length δ),
-	// reused for every node this shard steps. out is kept blank between
-	// steps (re-blanked after each emission scan); in holds whatever the
-	// last materialisation wrote, tracked by inDirty so a node with no
-	// input pays no clearing cost when the scratch is already blank.
-	in      []wire.Message
-	out     []wire.Message
-	inDirty bool
+	// io's out plane is kept blank between steps (stepNode clears the
+	// masks it routed).
+	io Ports
 }
 
-// ensureScratch sizes the shard's Automaton-boundary scratch for degree
-// bound delta and restores the all-blank invariant.
-func (sh *shard) ensureScratch(delta int) {
-	if cap(sh.in) >= delta && cap(sh.out) >= delta {
-		sh.in = sh.in[:delta]
-		sh.out = sh.out[:delta]
-		clear(sh.in)
-		clear(sh.out)
-	} else {
-		sh.in = make([]wire.Message, delta)
-		sh.out = make([]wire.Message, delta)
-	}
-	sh.inDirty = false
+// resetShard re-targets sh at the engine's planes with a blank δ-slot out
+// plane, keeping the capacity of its buffers.
+func (e *Engine) resetShard(sh *shard, lo, hi int) {
+	*sh = shard{lo: lo, hi: hi, next: sh.next[:0], wakes: sh.wakes[:0], io: sh.io}
+	sh.io.in = &e.cur
+	sh.io.out.resize(e.delta)
 }
 
 // wakeRec is one deferred wake: schedule node v hold+1 ticks after the tick
@@ -597,7 +540,7 @@ func (e *Engine) ResetRooted(g *graph.Graph, root int) {
 	}
 	e.rootTerm, _ = e.procs[root].(Terminator)
 
-	e.rootIn, e.rootOut = nil, nil
+	e.rootLive = false
 	e.epoch = 1
 	e.frontier = e.frontier[:0]
 	e.frontierNext = e.frontierNext[:0]
@@ -619,28 +562,17 @@ func (e *Engine) resizeBuffers(n, delta int) {
 	e.cur.resize(need)
 	e.nxt.resize(need)
 
-	if cap(e.route) >= need {
-		e.route = e.route[:need]
-	} else {
-		e.route = make([]uint32, need)
-	}
+	e.route = sized(e.route, need)
 
 	// Epoch stamps must be zeroed on reuse: the epoch counter restarts at
 	// 1 every run, so a stale mark from a long previous run could
 	// otherwise collide with a future epoch of this one.
-	e.hasStamp = resetStamps(e.hasStamp, n)
-	e.nextHasStamp = resetStamps(e.nextHasStamp, n)
-	e.enqStamp = resetStamps(e.enqStamp, n)
-	e.wakeStamp = resetStamps(e.wakeStamp, n)
-	e.lastStep = resetStamps(e.lastStep, n)
-
-	words := (n + 63) / 64
-	if cap(e.holderBits) >= words {
-		e.holderBits = e.holderBits[:words]
-		clear(e.holderBits)
-	} else {
-		e.holderBits = make([]uint64, words)
-	}
+	e.hasStamp = zeroed(e.hasStamp, n)
+	e.nextHasStamp = zeroed(e.nextHasStamp, n)
+	e.enqStamp = zeroed(e.enqStamp, n)
+	e.wakeStamp = zeroed(e.wakeStamp, n)
+	e.lastStep = zeroed(e.lastStep, n)
+	e.holderBits = zeroed(e.holderBits, (n+63)/64)
 
 	// Keep automata from shrunken runs in the slice's spare capacity so a
 	// later growth recovers (and resets) them instead of reconstructing.
@@ -653,14 +585,20 @@ func (e *Engine) resizeBuffers(n, delta int) {
 	}
 }
 
-// resetStamps returns a zeroed stamp plane of length n, reusing capacity.
-func resetStamps(s []uint32, n int) []uint32 {
+// sized returns s with length n, reusing its capacity; kept elements keep
+// their values.
+func sized[T any](s []T, n int) []T {
 	if cap(s) >= n {
-		s = s[:n]
-		clear(s)
-		return s
+		return s[:n]
 	}
-	return make([]uint32, n)
+	return make([]T, n)
+}
+
+// zeroed is sized with every element zero.
+func zeroed[T any](s []T, n int) []T {
+	s = sized(s, n)
+	clear(s)
+	return s
 }
 
 // resetWorkers re-resolves the worker count and shard layout for n nodes. A
@@ -669,8 +607,7 @@ func resetStamps(s []uint32, n int) []uint32 {
 // layout change stops the pool, which restarts lazily at the next parallel
 // tick.
 func (e *Engine) resetWorkers(n int) {
-	e.seqSh = shard{next: e.seqSh.next[:0], in: e.seqSh.in, out: e.seqSh.out}
-	e.seqSh.ensureScratch(e.delta)
+	e.resetShard(&e.seqSh, 0, 0)
 	w := e.opts.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -696,11 +633,7 @@ func (e *Engine) resetWorkers(n int) {
 	}
 	if len(e.shards) != w {
 		e.stopPool()
-		if cap(e.shards) >= w {
-			e.shards = e.shards[:w]
-		} else {
-			e.shards = make([]shard, w)
-		}
+		e.shards = sized(e.shards, w)
 	}
 	// Static node ranges for Naive mode; sparse ticks re-plan lo/hi over
 	// the frontier before every fan-out. The per-shard frontier buffers
@@ -712,9 +645,7 @@ func (e *Engine) resetWorkers(n int) {
 		if hi > n {
 			hi = n
 		}
-		e.shards[i] = shard{lo: lo, hi: hi, next: e.shards[i].next[:0],
-			wakes: e.shards[i].wakes[:0], in: e.shards[i].in, out: e.shards[i].out}
-		e.shards[i].ensureScratch(e.delta)
+		e.resetShard(&e.shards[i], lo, hi)
 	}
 }
 
@@ -845,18 +776,15 @@ func (e *Engine) enqueueNext(dst int, sh *shard, par bool) {
 	}
 }
 
-// stepNode executes one processor's pulse: input materialisation, Step,
-// emission routing and delivery bookkeeping, root transcript capture, and
-// consumed-plane clearing. All reads come from the tick-t planes (e.cur,
+// stepNode executes one processor's pulse: Step through the shard's Ports
+// view, emission routing and delivery bookkeeping, root transcript capture,
+// and consumed-plane clearing. All reads come from the tick-t planes (e.cur,
 // e.hasStamp) and all wire writes target the tick-t+1 planes (e.nxt,
 // e.nextHasStamp), so distinct nodes are independent and may run
-// concurrently. The Automaton boundary stays []wire.Message: the node's
-// in-ports are unpacked into the shard's reused scratch (only for stepped
-// nodes — skipped nodes never materialise anything), and its emissions are
-// packed back mask-gated. Under sparse scheduling the node re-enqueues
-// itself while it remains busy — the half of the frontier invariant that
-// covers busy-without-input processors (e.g. relays holding a speed-1
-// character).
+// concurrently. The out side's set slots are copied into e.nxt by route,
+// mask-gated. Under sparse scheduling the node re-enqueues itself while it
+// remains busy — the half of the frontier invariant that covers
+// busy-without-input processors (e.g. relays holding a speed-1 character).
 func (e *Engine) stepNode(v int, hasIn bool, sh *shard, par bool) {
 	delta := e.delta
 	base := v * delta
@@ -874,11 +802,6 @@ func (e *Engine) stepNode(v int, hasIn bool, sh *shard, par bool) {
 			sh.unwoke++
 		}
 		return
-	}
-	in, out := sh.in, sh.out
-	if hasIn || sh.inDirty {
-		e.cur.load(base, delta, in, sh.inDirty)
-		sh.inDirty = hasIn
 	}
 	var hld Holder
 	if e.sparse {
@@ -900,16 +823,20 @@ func (e *Engine) stepNode(v int, hasIn bool, sh *shard, par bool) {
 			e.lastStep[v] = e.epoch
 		}
 	}
-	e.procs[v].Step(in, out)
+	io := &sh.io
+	io.base = base
+	e.procs[v].Step(io)
 	sh.stepCalls++
+	out := &io.out
 	nonBlankOut := false
 	for p := 0; p < delta; p++ {
-		if out[p].IsBlank() {
+		if out.mask[p] == 0 {
 			continue
 		}
 		nonBlankOut = true
 		if e.opts.Validate {
-			if err := out[p].Validate(delta); err != nil {
+			m := io.OutMessage(p + 1)
+			if err := m.Validate(delta); err != nil {
 				panic(fmt.Sprintf("sim: node %d tick %d out-port %d: %v", v, e.tick, p+1, err))
 			}
 		}
@@ -925,32 +852,31 @@ func (e *Engine) stepNode(v int, hasIn bool, sh *shard, par bool) {
 			continue
 		}
 		dstNode := int(dst >> 8)
-		e.nxt.store(dstNode*delta+int(dst&0xff), &out[p])
+		e.nxt.copySlot(dstNode*delta+int(dst&0xff), out, p)
 		e.markDelivery(dstNode, sh, par)
 		sh.nonBlank++
 	}
-	if v == e.opts.Root && e.opts.Transcript != nil {
+	if v == e.opts.Root && e.opts.Transcript != nil && (hasIn || nonBlankOut) {
 		// hasIn holds exactly when some in-port carries a non-blank
-		// symbol this tick. The scratch buffers are engine-owned and
-		// reused every tick (the callback may not retain them), so
-		// steady state allocates nothing.
-		if hasIn || nonBlankOut {
-			e.rootInBuf = append(e.rootInBuf[:0], in...)
-			e.rootOutBuf = append(e.rootOutBuf[:0], out...)
-			e.rootIn, e.rootOut = e.rootInBuf, e.rootOutBuf
+		// symbol this tick. The buffers are engine-owned and reused every
+		// tick (the callback may not retain them), so steady state
+		// allocates nothing.
+		e.rootIn, e.rootOut = e.rootIn[:0], e.rootOut[:0]
+		for p := 1; p <= delta; p++ {
+			e.rootIn = append(e.rootIn, io.InMessage(p))
+			e.rootOut = append(e.rootOut, io.OutMessage(p))
 		}
+		e.rootLive = true
 	}
-	// Clear the consumed input slots and re-blank the out scratch.
-	// Clearing is mask-only — stale channel payloads are unreadable
-	// behind a clear mask, and every consumer (including the transcript
-	// fingerprints) goes through the mask accessors.
+	// Clear the consumed input slots and re-blank the out plane. Clearing
+	// is mask-only — stale channel payloads are unreadable behind a clear
+	// mask, and every consumer (including the transcript fingerprints)
+	// goes through the mask.
 	if hasIn {
 		clear(e.cur.mask[base : base+delta])
 	}
 	if nonBlankOut {
-		for p := 0; p < delta; p++ {
-			out[p].Blank()
-		}
+		clear(out.mask)
 	}
 	if !e.sparse {
 		return
@@ -1264,7 +1190,8 @@ func (e *Engine) promoteFrontier() {
 // the sequential burst, which is what keeps both dispatch paths
 // bit-identical in its observables.
 func (e *Engine) finishTick(anyActive bool, lives int) (bool, error) {
-	if e.rootIn != nil {
+	if e.rootLive {
+		e.rootLive = false
 		e.opts.Transcript(TranscriptEntry{Tick: e.tick, In: e.rootIn, Out: e.rootOut})
 	}
 
@@ -1349,7 +1276,6 @@ func (e *Engine) RunOne() (bool, error) {
 	if e.hasCrash {
 		e.purgeCrashWakes()
 	}
-	e.rootIn, e.rootOut = nil, nil
 	var anyActive bool
 	var lives int
 	if e.dispatchParallel() {
@@ -1440,7 +1366,6 @@ func (e *Engine) runBurst() (bool, error) {
 			e.advanceIdleTick()
 			continue
 		}
-		e.rootIn, e.rootOut = nil, nil
 		anyActive, lives := e.stepSequential()
 		more, err := e.finishTick(anyActive, lives)
 		if err != nil || !more {

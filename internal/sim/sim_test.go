@@ -25,9 +25,9 @@ type pulseNode struct {
 
 func (p *pulseNode) Busy() bool { return p.kick || p.forward }
 
-func (p *pulseNode) Step(in, out []wire.Message) {
+func (p *pulseNode) Step(io *sim.Ports) {
 	for port := 1; port <= p.info.Delta; port++ {
-		if in[port-1].Kill {
+		if io.InMask(port)&wire.KillBit != 0 {
 			p.heard++
 			if !p.forwarded {
 				p.forward = true
@@ -40,7 +40,7 @@ func (p *pulseNode) Step(in, out []wire.Message) {
 		p.forwarded = true
 		for port := 1; port <= p.info.Delta; port++ {
 			if p.info.OutWired(port) {
-				out[port-1].Kill = true
+				io.SetKill(port)
 			}
 		}
 	}
@@ -123,9 +123,9 @@ func TestEngineDeadlockError(t *testing.T) {
 // stubborn never terminates and stays busy.
 type stubborn struct{ sim.NodeInfo }
 
-func (s *stubborn) Busy() bool                  { return true }
-func (s *stubborn) Step(in, out []wire.Message) {}
-func (s *stubborn) Terminated() bool            { return false }
+func (s *stubborn) Busy() bool       { return true }
+func (s *stubborn) Step(*sim.Ports)  {}
+func (s *stubborn) Terminated() bool { return false }
 
 func TestEngineMaxTicks(t *testing.T) {
 	g := graph.Ring(2)

@@ -3,14 +3,31 @@ package snake
 import "topomap/internal/wire"
 
 // GrowOut is the broadcast emission of a growing-snake component for one
-// tick. If PerPort is set, out-port p must carry the freshly generated
-// character (p, ∗) whose part is Char.Part — body for the tail-insertion
-// rule of §2.3.2, head for a baby snake's first tick; otherwise Char is sent
-// unchanged through every wired out-port.
+// tick, in the packed layout of Char.Word. If PerPort is set, out-port p
+// must carry the freshly generated character (p, ∗) whose part is Word's —
+// body for the tail-insertion rule of §2.3.2, head for a baby snake's first
+// tick; otherwise Word is sent unchanged through every wired out-port. On
+// gives the word for one port.
 type GrowOut struct {
 	Has     bool
 	PerPort bool
-	Char    Char
+	Word    uint16
+}
+
+// Word-form characters the growing components generate: a tail, and the
+// (·, ∗) head and body whose Out entry On fills in per port.
+const (
+	headWord = uint16(wire.Head) << charPartShift
+	bodyWord = uint16(wire.Body) << charPartShift
+	tailWord = uint16(wire.Tail) << charPartShift
+)
+
+// On returns the word out-port port carries.
+func (g GrowOut) On(port int) uint16 {
+	if g.PerPort {
+		return g.Word | uint16(port)<<charOutShift
+	}
+	return g.Word
 }
 
 // GrowRelay is the standard pass-through behaviour of a processor for one
@@ -97,22 +114,23 @@ func (r *GrowRelay) FlushPipe() {
 // Receive/Emit.
 func (r *GrowRelay) BeginTick() { r.pipe.Age() }
 
-// Receive offers an arriving character to the relay. inPort is 1-based.
-// Simultaneous arrivals must be offered in ascending in-port order so the
-// paper's tie-break (lowest in-port is deemed first) holds. The character's
-// ∗ entry must already have been rewritten by the caller.
-func (r *GrowRelay) Receive(c Char, inPort uint8) {
+// Receive offers an arriving character, packed as by Char.Word, to the
+// relay; a relay only forwards, so the word is queued as it came. inPort is
+// 1-based. Simultaneous arrivals must be offered in ascending in-port order
+// so the paper's tie-break (lowest in-port is deemed first) holds. The
+// character's ∗ entry must already have been rewritten (Arrive).
+func (r *GrowRelay) Receive(w uint16, inPort uint8) {
 	if r.Deaf {
 		return
 	}
 	if !r.Visited {
 		r.Visited = true
 		r.ParentIn = inPort
-		r.pipe.Push(c)
+		r.pipe.pushWord(w)
 		return
 	}
 	if inPort == r.ParentIn {
-		r.pipe.Push(c)
+		r.pipe.pushWord(w)
 	}
 	// Characters through non-parent in-ports are ignored.
 }
@@ -121,23 +139,23 @@ func (r *GrowRelay) Receive(c Char, inPort uint8) {
 // Receive calls.
 func (r *GrowRelay) Emit() GrowOut {
 	if r.tailPending {
-		if _, ok := r.pipe.Pop(); ok {
+		if _, ok := r.pipe.popWord(); ok {
 			panic("snake: character queued behind a tail")
 		}
 		r.tailPending = false
-		return GrowOut{Has: true, Char: Char{Part: wire.Tail}}
+		return GrowOut{Has: true, Word: tailWord}
 	}
-	c, ok := r.pipe.Pop()
+	w, ok := r.pipe.popWord()
 	if !ok {
 		return GrowOut{}
 	}
-	if c.Part == wire.Tail {
+	if wordPart(w) == wire.Tail {
 		// Insert the new body character ahead of the tail: out-port i
 		// carries (i, ∗) now; the tail follows next tick.
 		r.tailPending = true
-		return GrowOut{Has: true, PerPort: true, Char: Char{Part: wire.Body}}
+		return GrowOut{Has: true, PerPort: true, Word: bodyWord}
 	}
-	return GrowOut{Has: true, Char: c}
+	return GrowOut{Has: true, Word: w}
 }
 
 // Initiator emits the two-character baby snake of a growing snake's creator:
@@ -160,10 +178,10 @@ func (ini *Initiator) Emit() GrowOut {
 	case 1:
 		ini.phase = 2
 		// The head of a baby snake is the per-port character H(i, ∗).
-		return GrowOut{Has: true, PerPort: true, Char: Char{Part: wire.Head}}
+		return GrowOut{Has: true, PerPort: true, Word: headWord}
 	case 2:
 		ini.phase = 0
-		return GrowOut{Has: true, Char: Char{Part: wire.Tail}}
+		return GrowOut{Has: true, Word: tailWord}
 	}
 	return GrowOut{}
 }

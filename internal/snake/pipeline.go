@@ -29,25 +29,27 @@ type Char struct {
 	Payload wire.Payload
 }
 
-// FromGrow strips the kind from a wire growing character.
-func FromGrow(c wire.GrowChar) Char {
-	return Char{Part: c.Part, Out: c.Out, In: c.In}
+// Word packs c into the 16-bit character layout of the engine's wire planes
+// (wire.PackGrowChar / wire.PackDieChar without the kind, which the plane
+// slot carries), so a processor moves characters between its ports and its
+// pipelines with no intermediate struct.
+func (c Char) Word() uint16 { return packChar(c) }
+
+// CharOf unpacks a wire-plane character word (the inverse of Word).
+func CharOf(w uint16) Char { return unpackChar(w) }
+
+// Arrive applies the ∗ rewrite to a growing-character word read on in-port
+// port: a head or body whose In entry is wire.Star takes the port of
+// arrival (§2.3.2); a tail or an already-set entry is unchanged.
+func Arrive(w uint16, port uint8) uint16 {
+	if w&charPortMask == wire.Star && wordPart(w) != wire.Tail {
+		w |= uint16(port)
+	}
+	return w
 }
 
-// FromDie strips the kind from a wire dying character.
-func FromDie(c wire.DieChar) Char {
-	return Char{Part: c.Part, Out: c.Out, In: c.In, Flag: c.Flag, Payload: c.Payload}
-}
-
-// Grow dresses the character as a wire growing character of the given kind.
-func (c Char) Grow(kind wire.SnakeKind) wire.GrowChar {
-	return wire.GrowChar{Kind: kind, Part: c.Part, Out: c.Out, In: c.In}
-}
-
-// Die dresses the character as a wire dying character of the given kind.
-func (c Char) Die(kind wire.SnakeKind) wire.DieChar {
-	return wire.DieChar{Kind: kind, Part: c.Part, Out: c.Out, In: c.In, Flag: c.Flag, Payload: c.Payload}
-}
+// wordPart is the Part field of a packed character.
+func wordPart(w uint16) wire.Part { return wire.Part(w >> charPartShift & charPartMask) }
 
 func (c Char) String() string {
 	if c.Part == wire.Tail {
@@ -81,9 +83,9 @@ const Speed3Delay = 0
 // capacity).
 const MaxDelay = pipeCap - 2
 
-// Packed-character field layout, mirroring the wire plane encoding: ports
-// need 5 bits under wire.MaxDelta, Part 2 bits, Payload 2 bits, Flag 1 — a
-// whole snake character in one uint16.
+// Packed-character field layout, identical to the wire plane encoding (see
+// Word): ports need 5 bits under wire.MaxDelta, Part 2 bits, Payload 2 bits,
+// Flag 1 — a whole snake character in one uint16.
 const (
 	charOutShift  = 5
 	charPartShift = 10
@@ -158,28 +160,37 @@ func (p *Pipeline) AgeN(n int) {
 }
 
 // Push enqueues a character that arrived this tick.
-func (p *Pipeline) Push(c Char) {
+func (p *Pipeline) Push(c Char) { p.pushWord(packChar(c)) }
+
+// Pop removes and returns the front character if it has completed its hold.
+func (p *Pipeline) Pop() (Char, bool) {
+	w, ok := p.popWord()
+	return unpackChar(w), ok
+}
+
+// pushWord is Push for a packed character.
+func (p *Pipeline) pushWord(w uint16) {
 	if p.n == pipeCap {
 		panic("snake: pipeline overflow — protocol bug")
 	}
 	i := (p.head + p.n) % pipeCap
-	p.chars[i] = packChar(c)
+	p.chars[i] = w
 	p.ats[i] = p.clock
 	p.n++
 }
 
-// Pop removes and returns the front character if it has completed its hold.
-func (p *Pipeline) Pop() (Char, bool) {
+// popWord is Pop for a packed character; it returns 0 when nothing is due.
+func (p *Pipeline) popWord() (uint16, bool) {
 	if p.n == 0 || p.clock-p.ats[p.head] < p.delay {
-		return Char{}, false
+		return 0, false
 	}
-	c := unpackChar(p.chars[p.head])
+	w := p.chars[p.head]
 	p.head = (p.head + 1) % pipeCap
 	p.n--
 	if p.n == 0 {
 		p.head, p.clock = 0, 0
 	}
-	return c, true
+	return w, true
 }
 
 // Hold returns the number of ticks for which the pipeline is certain to

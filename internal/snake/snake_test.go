@@ -120,14 +120,14 @@ func TestPipelineFIFOProperty(t *testing.T) {
 func TestGrowRelayVisitAndParent(t *testing.T) {
 	r := NewGrowRelay(Speed1Delay)
 	r.BeginTick()
-	r.Receive(Char{Part: wire.Head, Out: 1, In: 2}, 2)
+	r.Receive(Char{Part: wire.Head, Out: 1, In: 2}.Word(), 2)
 	if !r.Visited || r.ParentIn != 2 {
 		t.Fatalf("first character must mark visited with its in-port: %+v", r)
 	}
 	// Characters through another port are ignored.
-	r.Receive(Char{Part: wire.Head, Out: 9, In: 3}, 3)
+	r.Receive(Char{Part: wire.Head, Out: 9, In: 3}.Word(), 3)
 	emitted := drainGrow(t, &r, 8)
-	if len(emitted) != 1 || emitted[0].Char.Out != 1 {
+	if len(emitted) != 1 || CharOf(emitted[0].Word).Out != 1 {
 		t.Fatalf("exactly the accepted character must be forwarded, got %v", emitted)
 	}
 }
@@ -137,8 +137,8 @@ func TestGrowRelayLowestPortTieBreak(t *testing.T) {
 	// first offer wins (footnote 1 of the paper).
 	r := NewGrowRelay(Speed1Delay)
 	r.BeginTick()
-	r.Receive(Char{Part: wire.Head, Out: 1, In: 1}, 1)
-	r.Receive(Char{Part: wire.Head, Out: 2, In: 2}, 2)
+	r.Receive(Char{Part: wire.Head, Out: 1, In: 1}.Word(), 1)
+	r.Receive(Char{Part: wire.Head, Out: 2, In: 2}.Word(), 2)
 	if r.ParentIn != 1 {
 		t.Fatalf("lowest in-port must win, got parent %d", r.ParentIn)
 	}
@@ -148,7 +148,7 @@ func TestGrowRelayDeaf(t *testing.T) {
 	r := NewGrowRelay(Speed1Delay)
 	r.Deaf = true
 	r.BeginTick()
-	r.Receive(Char{Part: wire.Head, Out: 1, In: 1}, 1)
+	r.Receive(Char{Part: wire.Head, Out: 1, In: 1}.Word(), 1)
 	if r.Visited || r.HasResidue() {
 		t.Fatal("deaf relay must ignore all characters")
 	}
@@ -172,9 +172,9 @@ func TestGrowRelayTailInsertion(t *testing.T) {
 	// [H, per-port body, T] — the §2.3.2 insertion rule.
 	r := NewGrowRelay(Speed1Delay)
 	r.BeginTick()
-	r.Receive(Char{Part: wire.Head, Out: 1, In: 1}, 1)
+	r.Receive(Char{Part: wire.Head, Out: 1, In: 1}.Word(), 1)
 	r.BeginTick()
-	r.Receive(Char{Part: wire.Tail}, 1)
+	r.Receive(Char{Part: wire.Tail}.Word(), 1)
 	if g := r.Emit(); g.Has {
 		t.Fatal("premature emission")
 	}
@@ -188,13 +188,13 @@ func TestGrowRelayTailInsertion(t *testing.T) {
 	if len(seq) != 3 {
 		t.Fatalf("want [head, insert, tail], got %d emissions: %v", len(seq), seq)
 	}
-	if seq[0].PerPort || seq[0].Char.Part != wire.Head {
+	if seq[0].PerPort || CharOf(seq[0].Word).Part != wire.Head {
 		t.Fatalf("first emission must be the head: %+v", seq[0])
 	}
-	if !seq[1].PerPort || seq[1].Char.Part != wire.Body {
+	if !seq[1].PerPort || CharOf(seq[1].Word).Part != wire.Body {
 		t.Fatalf("second emission must be the per-port inserted body: %+v", seq[1])
 	}
-	if seq[2].Char.Part != wire.Tail || seq[2].PerPort {
+	if CharOf(seq[2].Word).Part != wire.Tail || seq[2].PerPort {
 		t.Fatalf("third emission must be the tail: %+v", seq[2])
 	}
 	if r.Busy() {
@@ -205,8 +205,8 @@ func TestGrowRelayTailInsertion(t *testing.T) {
 func TestGrowRelayKill(t *testing.T) {
 	r := NewGrowRelay(Speed1Delay)
 	r.BeginTick()
-	r.Receive(Char{Part: wire.Head, Out: 1, In: 1}, 1)
-	r.Receive(Char{Part: wire.Body, Out: 1, In: 1}, 1)
+	r.Receive(Char{Part: wire.Head, Out: 1, In: 1}.Word(), 1)
+	r.Receive(Char{Part: wire.Body, Out: 1, In: 1}.Word(), 1)
 	if !r.HasResidue() {
 		t.Fatal("relay should hold residue")
 	}
@@ -217,7 +217,7 @@ func TestGrowRelayKill(t *testing.T) {
 	// A later character re-marks the relay ("receives ... for the first
 	// time" applies again, as the straggler re-marking in the paper).
 	r.BeginTick()
-	r.Receive(Char{Part: wire.Body, Out: 2, In: 2}, 2)
+	r.Receive(Char{Part: wire.Body, Out: 2, In: 2}.Word(), 2)
 	if !r.Visited || r.ParentIn != 2 {
 		t.Fatal("post-kill character must re-mark")
 	}
@@ -226,7 +226,7 @@ func TestGrowRelayKill(t *testing.T) {
 func TestGrowRelayFlushPipeKeepsClosure(t *testing.T) {
 	r := NewGrowRelay(Speed1Delay)
 	r.BeginTick()
-	r.Receive(Char{Part: wire.Head, Out: 1, In: 1}, 1)
+	r.Receive(Char{Part: wire.Head, Out: 1, In: 1}.Word(), 1)
 	r.FlushPipe()
 	if !r.Visited {
 		t.Fatal("flush must keep the visited closure")
@@ -243,11 +243,14 @@ func TestInitiatorBabySnake(t *testing.T) {
 	}
 	ini.Start()
 	g1 := ini.Emit()
-	if !g1.Has || !g1.PerPort || g1.Char.Part != wire.Head {
+	if !g1.Has || !g1.PerPort || CharOf(g1.Word).Part != wire.Head {
 		t.Fatalf("first tick must emit per-port heads: %+v", g1)
 	}
+	if got := CharOf(g1.On(3)); got != (Char{Part: wire.Head, Out: 3, In: wire.Star}) {
+		t.Fatalf("out-port 3 must carry H(3, ∗), got %v", got)
+	}
 	g2 := ini.Emit()
-	if !g2.Has || g2.Char.Part != wire.Tail {
+	if !g2.Has || CharOf(g2.Word).Part != wire.Tail {
 		t.Fatalf("second tick must emit the tail: %+v", g2)
 	}
 	if ini.Busy() || ini.Emit().Has {
@@ -461,15 +464,16 @@ func TestDieConverterReceiveAfterDonePanics(t *testing.T) {
 func TestCharWireRoundTrip(t *testing.T) {
 	f := func(part, out, in uint8, flag bool, pay uint8) bool {
 		c := Char{
-			Part: wire.Part(part % 3), Out: out, In: in,
+			Part: wire.Part(part % 3), Out: out % (wire.MaxDelta + 1), In: in % (wire.MaxDelta + 1),
 			Flag: flag, Payload: wire.Payload(pay % wire.NumPayloads),
 		}
-		g := FromGrow(c.Grow(wire.KindOG))
-		d := FromDie(c.Die(wire.KindBD))
+		d := wire.DieChar{Kind: wire.KindBD, Part: c.Part, Out: c.Out, In: c.In, Flag: c.Flag, Payload: c.Payload}
 		// Growing chars carry no flag/payload.
 		cc := c
 		cc.Flag, cc.Payload = false, wire.PayloadNone
-		return g == cc && d == c
+		g := wire.GrowChar{Kind: wire.KindOG, Part: c.Part, Out: c.Out, In: c.In}
+		return CharOf(c.Word()) == c && c.Word() == wire.PackDieChar(d) &&
+			cc.Word() == wire.PackGrowChar(g)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -6,8 +6,9 @@ package wire
 // family. Every construct of the alphabet packs into 16 bits once ports are
 // bounded by MaxDelta: ports need 5 bits, Part 2, LoopType 2, Payload 2, and
 // the snake kind is implicit in the plane slot (one slot per dense kind
-// index). Message remains the API at the Automaton boundary; these helpers
-// are the bridge between the struct form and the plane form.
+// index). Processors read and write plane words directly (sim.Ports);
+// these helpers bridge the words and the struct form, which the engine
+// materialises only for the root transcript, validation and inspection.
 
 // MaxDelta is the engine's degree-bound ceiling: ports are packed into
 // 5-bit fields, so networks with δ > 31 are rejected at engine construction.

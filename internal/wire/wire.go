@@ -247,20 +247,27 @@ type DFSToken struct {
 	Out uint8
 }
 
-// Presence bits of Message.Has. One bit per channel: growing kinds occupy
-// bits 0..NumGrowKinds-1, dying kinds the next block, then the loop and DFS
-// tokens. The packed mask makes the blank test — the single hottest
+// Presence bits of Message.Has and of the engine's mask word. One bit per
+// channel: growing kinds occupy bits 0..NumGrowKinds-1 (GrowBit0<<k for
+// dense index k), dying kinds the next block (DieBit0<<k), then the loop and
+// DFS tokens. The packed mask makes the blank test — the single hottest
 // predicate of the simulation — one load and compare instead of a walk over
 // eight flags, and lets receivers dispatch on occupied channels only.
 const (
-	growBit0 uint16 = 1 << iota
+	GrowBit0 uint16 = 1 << iota
 	growBit1
 	growBit2
-	dieBit0
+	DieBit0
 	dieBit1
 	dieBit2
-	loopBit
-	dfsBit
+	LoopBit
+	DFSBit
+)
+
+// GrowBits and DieBits select a channel family inside a mask word.
+const (
+	GrowBits = GrowBit0 | growBit1 | growBit2
+	DieBits  = DieBit0 | dieBit1 | dieBit2
 )
 
 // Message is the complete symbol carried by one wire during one global clock
@@ -285,17 +292,17 @@ type Message struct {
 
 // HasGrowKind reports whether the growing channel with dense index i is
 // occupied.
-func (m *Message) HasGrowKind(i int) bool { return m.Has&(growBit0<<i) != 0 }
+func (m *Message) HasGrowKind(i int) bool { return m.Has&(GrowBit0<<i) != 0 }
 
 // HasDieKind reports whether the dying channel with dense index i is
 // occupied.
-func (m *Message) HasDieKind(i int) bool { return m.Has&(dieBit0<<i) != 0 }
+func (m *Message) HasDieKind(i int) bool { return m.Has&(DieBit0<<i) != 0 }
 
 // HasLoop reports whether a loop token is present.
-func (m *Message) HasLoop() bool { return m.Has&loopBit != 0 }
+func (m *Message) HasLoop() bool { return m.Has&LoopBit != 0 }
 
 // HasDFS reports whether the DFS token is present.
-func (m *Message) HasDFS() bool { return m.Has&dfsBit != 0 }
+func (m *Message) HasDFS() bool { return m.Has&DFSBit != 0 }
 
 // IsBlank reports whether m is the blank character (no constructs present).
 func (m *Message) IsBlank() bool {
@@ -314,54 +321,39 @@ func (m *Message) Blank() {
 // SetGrow places a growing character on the message.
 func (m *Message) SetGrow(c GrowChar) {
 	i := GrowIndex(c.Kind)
-	if m.Has&(growBit0<<i) != 0 {
+	if m.Has&(GrowBit0<<i) != 0 {
 		panic(fmt.Sprintf("wire: duplicate %v character in one tick", c.Kind))
 	}
 	m.Grow[i] = c
-	m.Has |= growBit0 << i
-}
-
-// SetGrowAt is SetGrow for a character whose dense kind index the caller
-// already knows: the emit hot path skips the kind-to-index dispatch.
-func (m *Message) SetGrowAt(i int, c GrowChar) {
-	if m.Has&(growBit0<<i) != 0 {
-		panic(fmt.Sprintf("wire: duplicate %v character in one tick", c.Kind))
-	}
-	m.Grow[i] = c
-	m.Has |= growBit0 << i
+	m.Has |= GrowBit0 << i
 }
 
 // SetDie places a dying character on the message.
 func (m *Message) SetDie(c DieChar) {
-	m.SetDieAt(DieIndex(c.Kind), c)
-}
-
-// SetDieAt is SetDie for a character whose dense kind index the caller
-// already knows: the emit hot path skips the kind-to-index dispatch.
-func (m *Message) SetDieAt(i int, c DieChar) {
-	if m.Has&(dieBit0<<i) != 0 {
+	i := DieIndex(c.Kind)
+	if m.Has&(DieBit0<<i) != 0 {
 		panic(fmt.Sprintf("wire: duplicate %v character in one tick", c.Kind))
 	}
 	m.Die[i] = c
-	m.Has |= dieBit0 << i
+	m.Has |= DieBit0 << i
 }
 
 // SetLoop places a loop token on the message.
 func (m *Message) SetLoop(t LoopToken) {
-	if m.Has&loopBit != 0 {
+	if m.Has&LoopBit != 0 {
 		panic("wire: duplicate loop token in one tick")
 	}
 	m.Loop = t
-	m.Has |= loopBit
+	m.Has |= LoopBit
 }
 
 // SetDFS places the DFS token on the message.
 func (m *Message) SetDFS(t DFSToken) {
-	if m.Has&dfsBit != 0 {
+	if m.Has&DFSBit != 0 {
 		panic("wire: duplicate DFS token in one tick")
 	}
 	m.DFS = t
-	m.Has |= dfsBit
+	m.Has |= DFSBit
 }
 
 // Validate checks that every construct on the message is well-formed for a
