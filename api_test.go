@@ -47,31 +47,6 @@ func TestMapAllFamilies(t *testing.T) {
 	}
 }
 
-// TestMapWorkersDeterminism is the public face of the engine's determinism
-// guarantee: Map with any Workers value returns the identical
-// reconstruction, tick count, message count, and transaction count.
-func TestMapWorkersDeterminism(t *testing.T) {
-	g := topomap.Torus(5, 6)
-	base, err := topomap.Map(g, topomap.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 4, 8} {
-		res, err := topomap.Map(g, topomap.Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Ticks != base.Ticks || res.Messages != base.Messages || res.Transactions != base.Transactions {
-			t.Fatalf("workers=%d diverged: (%d,%d,%d) vs sequential (%d,%d,%d)",
-				workers, res.Ticks, res.Messages, res.Transactions,
-				base.Ticks, base.Messages, base.Transactions)
-		}
-		if !res.Topology.Equal(base.Topology) {
-			t.Fatalf("workers=%d reconstructed a different topology", workers)
-		}
-	}
-}
-
 func TestMapCustomSpeedsStillExact(t *testing.T) {
 	// Slowing UNMARK to speed-1 is a conservative change (more cleanup
 	// slack); the protocol must still map exactly.
@@ -172,7 +147,6 @@ func TestResultStatsPlausible(t *testing.T) {
 // one-shot Map across families (the public face of session equivalence).
 func TestSessionMatchesMap(t *testing.T) {
 	s := topomap.NewSession(topomap.Options{})
-	defer s.Close()
 	for _, fam := range topomap.AllFamilies() {
 		g, err := topomap.Build(fam, 10, 2)
 		if err != nil {
@@ -208,8 +182,7 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 		{"kautz2.2", topomap.Kautz(2, 2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := topomap.NewSession(topomap.Options{Workers: 1})
-			defer s.Close()
+			s := topomap.NewSession(topomap.Options{})
 			if _, err := s.Map(tc.g); err != nil {
 				t.Fatal(err)
 			}
@@ -244,14 +217,14 @@ func TestMapBatchMatchesSequential(t *testing.T) {
 	want := make([]*topomap.Result, len(graphs))
 	for i, g := range graphs {
 		var err error
-		want[i], err = topomap.Map(g, topomap.Options{Workers: 1})
+		want[i], err = topomap.Map(g, topomap.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, pool := range []int{1, 2, 4} {
 		items, err := topomap.MapBatch(context.Background(), graphs,
-			topomap.BatchOptions{Options: topomap.Options{Workers: 1}, Sessions: pool})
+			topomap.BatchOptions{Sessions: pool})
 		if err != nil {
 			t.Fatalf("sessions=%d: %v", pool, err)
 		}
@@ -278,7 +251,7 @@ func TestMapBatchPerItemErrors(t *testing.T) {
 	bad.MustConnect(1, 1, 0, 1)
 	graphs := []*topomap.Graph{topomap.Ring(8), bad, topomap.Kautz(2, 2)}
 	items, err := topomap.MapBatch(context.Background(), graphs,
-		topomap.BatchOptions{Options: topomap.Options{Workers: 1}, Sessions: 2})
+		topomap.BatchOptions{Sessions: 2})
 	if err != nil {
 		t.Fatalf("per-item policy must not fail the batch: %v", err)
 	}
@@ -301,7 +274,7 @@ func TestMapBatchStopOnError(t *testing.T) {
 	bad.MustConnect(1, 1, 0, 1)
 	graphs := []*topomap.Graph{bad, topomap.Ring(8), topomap.Kautz(2, 2)}
 	items, err := topomap.MapBatch(context.Background(), graphs,
-		topomap.BatchOptions{Options: topomap.Options{Workers: 1}, Sessions: 1, StopOnError: true})
+		topomap.BatchOptions{Sessions: 1, StopOnError: true})
 	if err == nil {
 		t.Fatal("StopOnError batch must return the first error")
 	}
@@ -326,7 +299,7 @@ func TestMapBatchContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	items, err := topomap.MapBatch(ctx, graphs,
-		topomap.BatchOptions{Options: topomap.Options{Workers: 1}, Sessions: 2})
+		topomap.BatchOptions{Sessions: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
@@ -351,7 +324,7 @@ func TestMapBatchReleasesSessions(t *testing.T) {
 	graphs := []*topomap.Graph{topomap.Torus(4, 4), topomap.Torus(4, 4), topomap.Ring(16)}
 	before := runtime.NumGoroutine()
 	if _, err := topomap.MapBatch(context.Background(), graphs,
-		topomap.BatchOptions{Options: topomap.Options{Workers: 4}, Sessions: 2}); err != nil {
+		topomap.BatchOptions{Sessions: 2}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -374,7 +347,7 @@ func TestMapBatchSharedGraph(t *testing.T) {
 		graphs[i] = g // one shared object, not copies
 	}
 	items, err := topomap.MapBatch(context.Background(), graphs,
-		topomap.BatchOptions{Options: topomap.Options{Workers: 1}, Sessions: 4})
+		topomap.BatchOptions{Sessions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +374,7 @@ func TestMapBatchStopOnErrorAttribution(t *testing.T) {
 	// interleaving, the reported error must be index 1's.
 	graphs := []*topomap.Graph{topomap.Torus(5, 5), bad}
 	_, err := topomap.MapBatch(context.Background(), graphs,
-		topomap.BatchOptions{Options: topomap.Options{Workers: 1}, Sessions: 2, StopOnError: true})
+		topomap.BatchOptions{Sessions: 2, StopOnError: true})
 	if err == nil {
 		t.Fatal("StopOnError batch must return the causal error")
 	}

@@ -69,7 +69,6 @@ func mapBatchReference(ctx context.Context, graphs []*topomap.Graph, opts topoma
 		go func() {
 			defer wg.Done()
 			s := topomap.NewSession(opts.Options)
-			defer s.Close()
 			for {
 				i := claim()
 				if i < 0 {
@@ -191,7 +190,6 @@ func TestMapBatchMatchesReference(t *testing.T) {
 				if opts.Sessions == 0 {
 					opts.Sessions = pool
 				}
-				opts.Options.Workers = 1
 				ctx, refCtx := context.Context(nil), context.Context(nil)
 				if tc.ctx != nil {
 					ctx, refCtx = tc.ctx(), tc.ctx()
@@ -246,7 +244,7 @@ func TestMapBatchStopOnErrorAbortsInFlight(t *testing.T) {
 	graphs := []*topomap.Graph{brokenGraph(), topomap.Ring(256)}
 	start := time.Now()
 	items, err := topomap.MapBatch(context.Background(), graphs,
-		topomap.BatchOptions{Options: topomap.Options{Workers: 1}, Sessions: 2, StopOnError: true})
+		topomap.BatchOptions{Sessions: 2, StopOnError: true})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("StopOnError batch must return the causal error")

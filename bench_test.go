@@ -44,7 +44,6 @@ func BenchmarkE11Families(b *testing.B)        { benchExperiment(b, "e11") }
 func BenchmarkE12Pigeonhole(b *testing.B)      { benchExperiment(b, "e12") }
 func BenchmarkE13Batch(b *testing.B)           { benchExperiment(b, "e13") }
 func BenchmarkE14Frontier(b *testing.B)        { benchExperiment(b, "e14") }
-func BenchmarkE15Crossover(b *testing.B)       { benchExperiment(b, "e15") }
 func BenchmarkE16Serve(b *testing.B)           { benchExperiment(b, "e16") }
 func BenchmarkE17Hostile(b *testing.B)         { benchExperiment(b, "e17") }
 func BenchmarkE18Scale(b *testing.B)           { benchExperiment(b, "e18") }
@@ -62,7 +61,7 @@ func BenchmarkMapFreshRing64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topomap.Map(g, topomap.Options{Workers: 1}); err != nil {
+		if _, err := topomap.Map(g, topomap.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -70,8 +69,7 @@ func BenchmarkMapFreshRing64(b *testing.B) {
 
 func BenchmarkMapSessionRing64(b *testing.B) {
 	g := topomap.Ring(64)
-	s := topomap.NewSession(topomap.Options{Workers: 1})
-	defer s.Close()
+	s := topomap.NewSession(topomap.Options{})
 	if _, err := s.Map(g); err != nil {
 		b.Fatal(err)
 	}
@@ -97,7 +95,7 @@ func BenchmarkMapBatchTorus(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				items, err := topomap.MapBatch(context.Background(), graphs,
-					topomap.BatchOptions{Options: topomap.Options{Workers: 1}, Sessions: sessions})
+					topomap.BatchOptions{Sessions: sessions})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -5,17 +5,14 @@
 //
 // Usage:
 //
-//	topobench [-full] [-workers n] [-sessions n] [-json]
+//	topobench [-full] [-sessions n] [-json]
 //	          [-cpuprofile f] [-memprofile f] [experiment ids...]
 //	topobench -list
 //
-// With no ids, every experiment runs in order. -workers caps the engine
-// worker count (0 = GOMAXPROCS): measurements are identical at any value —
-// the engine is deterministic in the worker count — but E9/E10 sweep up to
-// the cap and everything else simply runs faster with more cores.
-// -sessions caps the session-pool sweep of the E13 batch-throughput
-// experiment (0 sweeps pool sizes 1/2/4/8); results are likewise identical
-// at any pool size. -json additionally writes each experiment's table to
+// With no ids, every experiment runs in order. -sessions caps the
+// session-pool sweep of the E13 batch-throughput experiment (0 sweeps pool
+// sizes 1/2/4/8); results are identical at any pool size, only throughput
+// varies. -json additionally writes each experiment's table to
 // BENCH_<ID>.json in the working directory, so the performance trajectory
 // can be tracked machine-readably across commits. -cpuprofile and
 // -memprofile write pprof profiles on clean exit, for digging into exactly
@@ -48,13 +45,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	full := fs.Bool("full", false, "run the full-size experiment sweeps (slower)")
 	list := fs.Bool("list", false, "list experiment ids and exit")
-	workers := fs.Int("workers", 0, "engine worker cap (0 = GOMAXPROCS, 1 = sequential)")
 	sessions := fs.Int("sessions", 0, "session-pool cap for the E13 batch sweep (0 = sweep 1/2/4/8)")
 	jsonOut := fs.Bool("json", false, "also write each experiment's table to BENCH_<ID>.json")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file on clean exit")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on clean exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: topobench [-full] [-workers n] [-sessions n] [-json] [-cpuprofile f] [-memprofile f] [experiment ids...]\n")
+		fmt.Fprintf(stderr, "usage: topobench [-full] [-sessions n] [-json] [-cpuprofile f] [-memprofile f] [experiment ids...]\n")
 		fmt.Fprintf(stderr, "experiments: %s\n", strings.Join(experiments.IDs(), " "))
 		fs.PrintDefaults()
 	}
@@ -73,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(ids) == 0 {
 		ids = experiments.IDs()
 	}
-	experiments.Workers = *workers
 	experiments.Sessions = *sessions
 	scale := experiments.Quick
 	if *full {

@@ -43,16 +43,14 @@ func TestBadFlag(t *testing.T) {
 }
 
 // TestProfileFlags: -cpuprofile and -memprofile must write non-empty pprof
-// files on clean exit (alongside a real, small experiment run on the
-// sequential engine).
+// files on clean exit (alongside a real, small experiment run).
 func TestProfileFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end experiment run skipped in -short mode")
 	}
 	t.Chdir(t.TempDir())
-	t.Cleanup(func() { experiments.Workers = 0 })
 	var out, errOut strings.Builder
-	code := run([]string{"-workers", "1", "-cpuprofile", "cpu.pprof", "-memprofile", "mem.pprof", "e3"}, &out, &errOut)
+	code := run([]string{"-cpuprofile", "cpu.pprof", "-memprofile", "mem.pprof", "e3"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("e3 run exit code %d, stderr: %s", code, errOut.String())
 	}
@@ -75,7 +73,7 @@ func TestRunExperimentWithJSON(t *testing.T) {
 	}
 	t.Chdir(t.TempDir())
 	var out, errOut strings.Builder
-	if code := run([]string{"-json", "-workers", "1", "e3"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-json", "e3"}, &out, &errOut); code != 0 {
 		t.Fatalf("e3 run exit code %d, stderr: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "== E3:") {

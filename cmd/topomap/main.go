@@ -56,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stats   = fs.Bool("stats", false, "print run statistics")
 		edges   = fs.Bool("edges", false, "print the mapped edge list")
 		maxTick = fs.Int("maxticks", 0, "tick budget (0 = automatic)")
-		workers = fs.Int("workers", 0, "engine workers per tick (0 = GOMAXPROCS, 1 = sequential; -trace forces 1)")
 		dropRt  = fs.Float64("droprate", 0, "fault injection: probability each emitted symbol is lost in flight (deterministic per -faultseed)")
 		faultSd = fs.Int64("faultseed", 1, "fault injection: seed of the message-loss hash")
 		crash   = fs.String("crash", "", "fault injection: fail-stop crash as node@tick (e.g. 5@200); repeatable with commas")
@@ -97,17 +96,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *showTr {
 		tr = trace.New(func() int { return eng.Tick() }, 0)
 		cfg.Hooks = tr.Hook
-		// Parallel workers may reorder same-tick events in the timeline;
-		// a trace should replay identically run to run.
-		if *workers != 1 {
-			fmt.Fprintln(stderr, "topomap: -trace forces -workers 1 for a replayable timeline")
-			*workers = 1
-		}
 	}
 	eng = sim.New(g, sim.Options{
 		Root:       *root,
 		MaxTicks:   *maxTick,
-		Workers:    *workers,
 		Faults:     faults,
 		Transcript: m.Process,
 	}, gtd.NewFactory(cfg))
@@ -140,8 +132,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "faults:  droprate=%g dropped=%d crashes=%d\n",
 				faults.DropRate, st.Dropped, len(faults.Crashes))
 		}
-		fmt.Fprintf(stdout, "sched:   seq-ticks=%d par-ticks=%d bursts=%d\n",
-			st.SeqTicks, st.ParTicks, st.Bursts)
 	}
 	if *edges {
 		for _, e := range mapped.Edges() {

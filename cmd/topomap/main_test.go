@@ -17,7 +17,7 @@ import (
 // checking the verification verdict, statistics, and edge output.
 func TestMapRingEndToEnd(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-family", "ring", "-n", "8", "-workers", "1", "-stats", "-edges"}, &out, &errOut)
+	code := run([]string{"-family", "ring", "-n", "8", "-stats", "-edges"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
 	}
@@ -29,34 +29,26 @@ func TestMapRingEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMapMatchesRunOneLoop: the CLI maps identically at any worker count,
-// and identically to per-tick dispatch (a loop of sim.Engine.RunOne on the
-// same network); -stats reports the dispatch telemetry.
+// TestMapMatchesRunOneLoop: the CLI's output, protocol trace included, is
+// identical run to run, and its map matches per-tick stepping (a loop of
+// sim.Engine.RunOne on the same network).
 func TestMapMatchesRunOneLoop(t *testing.T) {
-	mapped := func(args ...string) (string, string) {
+	output := func(args ...string) string {
 		t.Helper()
 		var out, errOut strings.Builder
 		if code := run(args, &out, &errOut); code != 0 {
 			t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
 		}
-		var m, s string
-		for _, l := range strings.Split(out.String(), "\n") {
-			if strings.HasPrefix(l, "mapped:") {
-				m = l
-			}
-			if strings.HasPrefix(l, "sched:") {
-				s = l
-			}
-		}
-		return m, s
+		return out.String()
 	}
-	want, schedLine := mapped("-family", "kautz", "-n", "12", "-stats")
-	if !strings.Contains(schedLine, "seq-ticks=") || !strings.Contains(schedLine, "bursts=") {
-		t.Fatalf("stats should report the dispatch telemetry: %q", schedLine)
+	traced := output("-family", "kautz", "-n", "12", "-stats", "-trace")
+	if again := output("-family", "kautz", "-n", "12", "-stats", "-trace"); again != traced {
+		t.Fatalf("two traced runs differ:\n%s\n---\n%s", traced, again)
 	}
-	for _, w := range []string{"1", "2", "8"} {
-		if got, _ := mapped("-family", "kautz", "-n", "12", "-stats", "-workers", w); got != want {
-			t.Fatalf("-workers %s diverges:\ndefault: %s\n-workers %s: %s", w, want, w, got)
+	var want string
+	for _, l := range strings.Split(traced, "\n") {
+		if strings.HasPrefix(l, "mapped:") {
+			want = l
 		}
 	}
 
@@ -80,9 +72,6 @@ func TestMapMatchesRunOneLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := eng.Stats()
-	if st.Bursts != 0 {
-		t.Fatalf("a RunOne loop entered %d bursts", st.Bursts)
-	}
 	loop := fmt.Sprintf("mapped:  N=%d edges=%d in %d ticks, %d messages, %d transactions",
 		r.N(), r.NumEdges(), st.Ticks, st.NonBlankMessages, m.Transactions)
 	if loop != want {
@@ -94,7 +83,7 @@ func TestMapMatchesRunOneLoop(t *testing.T) {
 func TestMapDotOutput(t *testing.T) {
 	dot := filepath.Join(t.TempDir(), "mapped.dot")
 	var out, errOut strings.Builder
-	if code := run([]string{"-family", "ring", "-n", "6", "-workers", "1", "-dot", dot}, &out, &errOut); code != 0 {
+	if code := run([]string{"-family", "ring", "-n", "6", "-dot", dot}, &out, &errOut); code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
 	}
 	data, err := os.ReadFile(dot)

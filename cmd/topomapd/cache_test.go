@@ -15,7 +15,7 @@ import (
 // identical, /stats carries the cache counters, and ?nocache=1 bypasses.
 func TestCacheHeaderAndStats(t *testing.T) {
 	ts := newTestServer(t, serverConfig{
-		Pool: 1, Workers: 1, MaxNodes: 1 << 16, CacheBytes: 1 << 20,
+		Pool: 1, MaxNodes: 1 << 16, CacheBytes: 1 << 20,
 	})
 	get := func(url string) (*http.Response, mapResult) {
 		t.Helper()
@@ -71,7 +71,7 @@ func TestCacheHeaderAndStats(t *testing.T) {
 // TestCacheOffNoHeader: without -cache-bytes the header never appears and
 // the cache counters stay zero.
 func TestCacheOffNoHeader(t *testing.T) {
-	ts := newTestServer(t, serverConfig{Pool: 1, Workers: 1, MaxNodes: 1 << 16})
+	ts := newTestServer(t, serverConfig{Pool: 1, MaxNodes: 1 << 16})
 	for i := 0; i < 2; i++ {
 		resp, err := http.Get(ts.URL + "/map?family=ring&n=16&graph=0")
 		if err != nil {
@@ -93,7 +93,7 @@ func TestCacheOffNoHeader(t *testing.T) {
 // TestStreamCacheHeader: streamed responses carry the header too.
 func TestStreamCacheHeader(t *testing.T) {
 	ts := newTestServer(t, serverConfig{
-		Pool: 1, Workers: 1, MaxNodes: 1 << 16, CacheBytes: 1 << 20,
+		Pool: 1, MaxNodes: 1 << 16, CacheBytes: 1 << 20,
 	})
 	url := ts.URL + "/map?family=ring&n=32&stream=ndjson"
 	for i, want := range []string{"miss", "hit"} {
@@ -116,7 +116,7 @@ func TestStreamCacheHeader(t *testing.T) {
 // text format, cache metrics included.
 func TestMetricsEndpoint(t *testing.T) {
 	ts := newTestServer(t, serverConfig{
-		Pool: 1, Workers: 1, MaxNodes: 1 << 16, CacheBytes: 1 << 20,
+		Pool: 1, MaxNodes: 1 << 16, CacheBytes: 1 << 20,
 	})
 	for i := 0; i < 2; i++ {
 		resp, err := http.Get(ts.URL + "/map?family=ring&n=24&graph=0")

@@ -43,7 +43,7 @@ func postMap(t *testing.T, url, contentType, accept string, body []byte) (*http.
 // the same reconstruction the JSON path reports.
 func TestBinaryNegotiationEndToEnd(t *testing.T) {
 	ts := newTestServer(t, serverConfig{
-		Pool: 1, Workers: 1, MaxNodes: 1 << 16, CacheBytes: 1 << 20,
+		Pool: 1, MaxNodes: 1 << 16, CacheBytes: 1 << 20,
 	})
 	truth := topomap.Ring(48)
 	text := []byte(truth.MarshalString())
@@ -170,7 +170,7 @@ func TestBinaryNegotiationEndToEnd(t *testing.T) {
 // located error and bump the decode-error counter; the daemon's -maxnodes
 // decode limit applies to binary headers before any allocation.
 func TestCodecDecodeErrors(t *testing.T) {
-	ts := newTestServer(t, serverConfig{Pool: 1, Workers: 1, MaxNodes: 256})
+	ts := newTestServer(t, serverConfig{Pool: 1, MaxNodes: 256})
 
 	resp, payload := postMap(t, ts.URL+"/map", "text/plain",
 		"", []byte("topomap-graph v1\nnodes 4 delta 1\nedge 0 1 zz 1\n"))
@@ -214,7 +214,7 @@ func TestCodecDecodeErrors(t *testing.T) {
 // service's hit counter moving without Served moving.
 func TestBinaryHitFastPath(t *testing.T) {
 	ts := newTestServer(t, serverConfig{
-		Pool: 1, Workers: 1, MaxNodes: 1 << 16, CacheBytes: 1 << 20,
+		Pool: 1, MaxNodes: 1 << 16, CacheBytes: 1 << 20,
 	})
 	truth := topomap.Ring(64)
 	bin, err := truth.MarshalBinary()
@@ -264,7 +264,7 @@ func TestBinaryHitFastPath(t *testing.T) {
 // TestMetricsCodecCounters: the Prometheus surface exposes the codec
 // counters with per-format labels.
 func TestMetricsCodecCounters(t *testing.T) {
-	ts := newTestServer(t, serverConfig{Pool: 1, Workers: 1, MaxNodes: 1 << 16})
+	ts := newTestServer(t, serverConfig{Pool: 1, MaxNodes: 1 << 16})
 	truth := topomap.Ring(16)
 	bin, err := truth.MarshalBinary()
 	if err != nil {

@@ -5,8 +5,7 @@
 // Usage:
 //
 //	topomapd [-addr host:port] [-pool n] [-queue n] [-block]
-//	         [-workers n] [-deadline d] [-maxnodes n] [-every n]
-//	         [-cache-bytes n]
+//	         [-deadline d] [-maxnodes n] [-every n] [-cache-bytes n]
 //
 // Endpoints:
 //
@@ -108,7 +107,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		pool     = fs.Int("pool", 0, "warm mapping sessions (0 = GOMAXPROCS)")
 		queue    = fs.Int("queue", 0, "job-queue depth (0 = 4×pool, negative = no waiting room)")
 		block    = fs.Bool("block", false, "hold /map requests when the queue is full instead of answering 503")
-		workers  = fs.Int("workers", 1, "engine workers per run (serving scales across sessions, so 1 is right)")
 		deadline = fs.Duration("deadline", 2*time.Minute, "default per-job deadline, queue wait included (0 = none)")
 		maxNodes = fs.Int("maxnodes", 1<<16, "reject posted graphs larger than this")
 		every    = fs.Int("every", 0, "default ticks between progress events (0 = service default)")
@@ -129,7 +127,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		Pool:       *pool,
 		Queue:      *queue,
 		Block:      *block,
-		Workers:    *workers,
 		Deadline:   *deadline,
 		MaxNodes:   *maxNodes,
 		Every:      *every,
@@ -190,7 +187,6 @@ type serverConfig struct {
 	Pool       int
 	Queue      int
 	Block      bool
-	Workers    int
 	Deadline   time.Duration
 	MaxNodes   int
 	Every      int
@@ -216,7 +212,7 @@ func newServer(cfg serverConfig) *server {
 	}
 	s := &server{
 		svc: topomap.NewService(topomap.ServiceOptions{
-			Options:         topomap.Options{Workers: cfg.Workers, Faults: faults},
+			Options:         topomap.Options{Faults: faults},
 			Sessions:        cfg.Pool,
 			QueueDepth:      cfg.Queue,
 			Block:           cfg.Block,

@@ -162,7 +162,7 @@ func newTestServer(t *testing.T, cfg serverConfig) *httptest.Server {
 // TestGeneratorShorthand: ?family=...&n=...&seed=... builds the graph
 // server-side; per-request roots are honoured.
 func TestGeneratorShorthand(t *testing.T) {
-	ts := newTestServer(t, serverConfig{Pool: 1, Workers: 1, MaxNodes: 1 << 16})
+	ts := newTestServer(t, serverConfig{Pool: 1, MaxNodes: 1 << 16})
 	resp, err := http.Get(ts.URL + "/map?family=torus&n=16&seed=3&root=5")
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestGeneratorShorthand(t *testing.T) {
 
 // TestStreamSSE: progress events then a result, in SSE framing.
 func TestStreamSSE(t *testing.T) {
-	ts := newTestServer(t, serverConfig{Pool: 1, Workers: 1, MaxNodes: 1 << 16})
+	ts := newTestServer(t, serverConfig{Pool: 1, MaxNodes: 1 << 16})
 	resp, err := http.Get(ts.URL + "/map?family=ring&n=64&stream=sse&every=1")
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestStreamSSE(t *testing.T) {
 
 // TestStreamNDJSON: chunked JSON lines with a final result line.
 func TestStreamNDJSON(t *testing.T) {
-	ts := newTestServer(t, serverConfig{Pool: 1, Workers: 1, MaxNodes: 1 << 16})
+	ts := newTestServer(t, serverConfig{Pool: 1, MaxNodes: 1 << 16})
 	resp, err := http.Get(ts.URL + "/map?family=ring&n=32&stream=ndjson&every=1")
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestStreamNDJSON(t *testing.T) {
 
 // TestBadRequests: the daemon's input validation on the untrusted surface.
 func TestBadRequests(t *testing.T) {
-	ts := newTestServer(t, serverConfig{Pool: 1, Workers: 1, MaxNodes: 32})
+	ts := newTestServer(t, serverConfig{Pool: 1, MaxNodes: 32})
 	cases := []struct {
 		name string
 		do   func() (*http.Response, error)
@@ -309,7 +309,7 @@ func TestBadRequests(t *testing.T) {
 // TestBackpressure503: a full queue answers 503 with Retry-After rather
 // than queueing unboundedly.
 func TestBackpressure503(t *testing.T) {
-	ts := newTestServer(t, serverConfig{Pool: 1, Queue: -1, Workers: 1, MaxNodes: 1 << 16})
+	ts := newTestServer(t, serverConfig{Pool: 1, Queue: -1, MaxNodes: 1 << 16})
 
 	// Occupy the single session with a slow map, using a cancellable
 	// request so the test can reclaim it.
@@ -381,7 +381,7 @@ func TestBackpressure503(t *testing.T) {
 // TestDeadline504: a per-request deadline that fires mid-run comes back as
 // a gateway timeout.
 func TestDeadline504(t *testing.T) {
-	ts := newTestServer(t, serverConfig{Pool: 1, Workers: 1, MaxNodes: 1 << 16})
+	ts := newTestServer(t, serverConfig{Pool: 1, MaxNodes: 1 << 16})
 	resp, err := http.Get(ts.URL + "/map?family=ring&n=256&deadline=30ms")
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func doPatch(t *testing.T, url, contentType string, body []byte) (*http.Response
 // and confirm every patched reconstruction matches a from-scratch map of the
 // mutated network, with the counters and headers to prove how it was served.
 func TestPatchEndToEnd(t *testing.T) {
-	ts := newTestServer(t, serverConfig{Pool: 1, Workers: 1, MaxNodes: 1 << 16, CacheBytes: 1 << 20})
+	ts := newTestServer(t, serverConfig{Pool: 1, MaxNodes: 1 << 16, CacheBytes: 1 << 20})
 
 	truth := topomap.Ring(32)
 	resp, err := http.Post(ts.URL+"/map", "text/plain", strings.NewReader(truth.MarshalString()))
@@ -200,7 +200,7 @@ func TestPatchEndToEnd(t *testing.T) {
 
 // TestPatchErrors: malformed requests and cache-less daemons fail cleanly.
 func TestPatchErrors(t *testing.T) {
-	ts := newTestServer(t, serverConfig{Pool: 1, Workers: 1, MaxNodes: 1 << 16, CacheBytes: 1 << 20})
+	ts := newTestServer(t, serverConfig{Pool: 1, MaxNodes: 1 << 16, CacheBytes: 1 << 20})
 
 	// Text delta without a base digest.
 	if resp, _, _ := doPatch(t, ts.URL+"/map", "text/plain", []byte("patch +1:2>0:2")); resp.StatusCode != http.StatusBadRequest {
@@ -231,7 +231,7 @@ func TestPatchErrors(t *testing.T) {
 	}
 
 	// Cache off: PATCH is 501.
-	tsOff := newTestServer(t, serverConfig{Pool: 1, Workers: 1, MaxNodes: 1 << 16})
+	tsOff := newTestServer(t, serverConfig{Pool: 1, MaxNodes: 1 << 16})
 	if resp, _, _ := doPatch(t, tsOff.URL+"/map?base="+bogus, "text/plain", []byte("patch +1:2>0:2")); resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("cache-less PATCH: %d, want 501", resp.StatusCode)
 	}

@@ -33,8 +33,10 @@ type Options struct {
 	Root     int
 	MaxTicks int
 	Validate bool
-	// Workers is the engine's per-tick worker count (0 = GOMAXPROCS,
-	// 1 = sequential); any value yields the identical transcript.
+	// Workers is ignored: the engine steps every tick on the calling
+	// goroutine.
+	//
+	// Deprecated: kept so existing callers compile; it has no effect.
 	Workers int
 	// Config overrides the paper's speed assignment; nil uses defaults.
 	Config *gtd.Config
@@ -52,16 +54,13 @@ type Options struct {
 // and one mapper that are reset in place between runs instead of being
 // reallocated. A session maps one graph at a time (it is not safe for
 // concurrent use — run one session per goroutine); across sequential runs
-// the steady state allocates almost nothing, and the engine's parallel
-// worker pool stays parked between runs. A reused session is observationally
-// identical to a fresh engine: transcripts, reconstructions, statistics, and
-// failures are bit-for-bit the same (tested across families, seeds, and
-// worker counts).
+// the steady state allocates almost nothing. A reused session is
+// observationally identical to a fresh engine: transcripts, reconstructions,
+// statistics, and failures are bit-for-bit the same (tested across families
+// and seeds).
 //
 // The options — including the protocol configuration and hooks — are fixed
 // at creation; only the graph (and, via RunRooted, the root) varies per run.
-// Close releases the engine's worker pool; it is idempotent, and a closed
-// session may keep running (the pool restarts lazily).
 type Session struct {
 	opts    Options
 	arena   *gtd.Arena
@@ -225,11 +224,9 @@ func (s *Session) run(ctx context.Context, g *graph.Graph, root int) (*RunResult
 			Root:       root,
 			MaxTicks:   s.opts.MaxTicks,
 			Validate:   s.opts.Validate,
-			Workers:    s.opts.Workers,
 			Faults:     s.opts.Faults,
 			Transcript: s.m.Process,
 			Observers:  obs,
-			RetainPool: true,
 			Cancel: func() error {
 				if s.ctx != nil {
 					return s.ctx.Err()
@@ -252,23 +249,18 @@ func (s *Session) run(ctx context.Context, g *graph.Graph, root int) (*RunResult
 	return &RunResult{Topology: topo, Stats: stats, Transactions: s.m.Transactions}, nil
 }
 
-// Close releases the session's engine worker pool. Idempotent; the session
-// remains usable (the pool restarts lazily on the next parallel tick).
-func (s *Session) Close() {
-	if s.eng != nil {
-		s.eng.Close()
-	}
-}
+// Close does nothing: a session holds no goroutines or other resources
+// beyond memory.
+//
+// Deprecated: kept so existing callers compile; there is nothing to
+// release.
+func (s *Session) Close() {}
 
 // Run maps g from the given root and returns the reconstruction with run
 // statistics. The input must be a valid network of the model. It is a
-// one-shot wrapper over Session; every exit path — validation failure, root
-// out of range, engine error, transcript-decoding failure — releases the
-// engine's worker pool.
+// one-shot wrapper over Session.
 func Run(g *graph.Graph, opts Options) (*RunResult, error) {
-	s := NewSession(opts)
-	defer s.Close()
-	return s.Run(g)
+	return NewSession(opts).Run(g)
 }
 
 // Exact reports whether a reconstruction matches the truth anchored at the

@@ -40,8 +40,7 @@ func TestSessionMemAccounting(t *testing.T) {
 	// Windowed runs (they end in ErrMaxTicks) still populate the report;
 	// N=10000 sits above the arena's 4096-slot chunk granularity, which
 	// dominates bytes/node on toy graphs.
-	s := NewSession(Options{Workers: 1, MaxTicks: 200})
-	defer s.Close()
+	s := NewSession(Options{MaxTicks: 200})
 	if m := s.Mem(); m.Engine.TotalBytes != 0 || m.ArenaBytes != 0 || m.BytesPerNode != 0 {
 		t.Fatalf("fresh session reports nonzero memory: %+v", m)
 	}
@@ -142,7 +141,7 @@ func TestRunCustomConfig(t *testing.T) {
 }
 
 // leakCheck runs fn and asserts the goroutine count returns to its starting
-// level afterwards (the engine worker pool must never leak).
+// level afterwards.
 func leakCheck(t *testing.T, name string, fn func()) {
 	t.Helper()
 	before := runtime.NumGoroutine()
@@ -152,15 +151,14 @@ func leakCheck(t *testing.T, name string, fn func()) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("%s: leaked worker goroutines: %d before, %d after", name, before, got)
+		t.Fatalf("%s: leaked goroutines: %d before, %d after", name, before, got)
 	}
 }
 
-// TestRunReleasesPoolOnEveryExit covers the pool-leak hazard of Run's early
-// error paths: whatever way a run ends — success, validation failure, root
-// out of range, tick-budget exhaustion, transcript-decoding failure — the
-// engine worker pool must be gone when Run returns. Workers are forced >1
-// so a pool actually exists to leak.
+// TestRunReleasesPoolOnEveryExit covers Run's early error paths: whatever
+// way a run ends — success, validation failure, root out of range,
+// tick-budget exhaustion, engine deadlock — no goroutine started for the
+// run outlives it.
 func TestRunReleasesPoolOnEveryExit(t *testing.T) {
 	valid := graph.Torus(4, 4)
 	invalid := graph.New(3, 2)
@@ -168,22 +166,22 @@ func TestRunReleasesPoolOnEveryExit(t *testing.T) {
 	invalid.MustConnect(1, 1, 0, 1)
 
 	leakCheck(t, "success", func() {
-		if _, err := Run(valid, Options{Workers: 4}); err != nil {
+		if _, err := Run(valid, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	leakCheck(t, "validation failure", func() {
-		if _, err := Run(invalid, Options{Workers: 4}); err == nil {
+		if _, err := Run(invalid, Options{}); err == nil {
 			t.Fatal("invalid network must be rejected")
 		}
 	})
 	leakCheck(t, "root out of range", func() {
-		if _, err := Run(valid, Options{Workers: 4, Root: 99}); err == nil {
+		if _, err := Run(valid, Options{Root: 99}); err == nil {
 			t.Fatal("out-of-range root must be rejected")
 		}
 	})
 	leakCheck(t, "max ticks exceeded", func() {
-		if _, err := Run(valid, Options{Workers: 4, MaxTicks: 20}); !errors.Is(err, sim.ErrMaxTicks) {
+		if _, err := Run(valid, Options{MaxTicks: 20}); !errors.Is(err, sim.ErrMaxTicks) {
 			t.Fatalf("expected ErrMaxTicks, got %v", err)
 		}
 	})
@@ -195,7 +193,7 @@ func TestRunReleasesPoolOnEveryExit(t *testing.T) {
 		// as the success path, which the first check covers.)
 		cfg := gtd.DefaultConfig()
 		cfg.PassiveRoot = true
-		if _, err := Run(valid, Options{Workers: 4, MaxTicks: 5000, Config: &cfg}); err == nil {
+		if _, err := Run(valid, Options{MaxTicks: 5000, Config: &cfg}); err == nil {
 			t.Fatal("passive-root GTD run must fail (no DFS ever starts)")
 		}
 	})
@@ -203,8 +201,7 @@ func TestRunReleasesPoolOnEveryExit(t *testing.T) {
 
 // TestSessionReuseMatchesFresh is the core-layer session equivalence test:
 // a session reused across graph families, seeds, and repeats must return
-// reconstructions and statistics identical to one-shot runs, at 1 and 4
-// engine workers.
+// reconstructions and statistics identical to one-shot runs.
 func TestSessionReuseMatchesFresh(t *testing.T) {
 	corpus := []*graph.Graph{
 		graph.Ring(12),
@@ -214,26 +211,22 @@ func TestSessionReuseMatchesFresh(t *testing.T) {
 		graph.Torus(4, 5), // repeat: same graph twice in a row
 		graph.BiRing(9),
 	}
-	for _, workers := range []int{1, 4} {
-		s := NewSession(Options{Workers: workers})
-		for i, g := range corpus {
-			fresh, err := Run(g, Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("workers=%d graph %d fresh: %v", workers, i, err)
-			}
-			reused, err := s.Run(g)
-			if err != nil {
-				t.Fatalf("workers=%d graph %d reused: %v", workers, i, err)
-			}
-			if reused.Stats != fresh.Stats || reused.Transactions != fresh.Transactions {
-				t.Fatalf("workers=%d graph %d: stats diverge: %+v vs %+v",
-					workers, i, reused.Stats, fresh.Stats)
-			}
-			if !reused.Topology.Equal(fresh.Topology) {
-				t.Fatalf("workers=%d graph %d: reconstructions differ", workers, i)
-			}
+	s := NewSession(Options{})
+	for i, g := range corpus {
+		fresh, err := Run(g, Options{})
+		if err != nil {
+			t.Fatalf("graph %d fresh: %v", i, err)
 		}
-		s.Close()
+		reused, err := s.Run(g)
+		if err != nil {
+			t.Fatalf("graph %d reused: %v", i, err)
+		}
+		if reused.Stats != fresh.Stats || reused.Transactions != fresh.Transactions {
+			t.Fatalf("graph %d: stats diverge: %+v vs %+v", i, reused.Stats, fresh.Stats)
+		}
+		if !reused.Topology.Equal(fresh.Topology) {
+			t.Fatalf("graph %d: reconstructions differ", i)
+		}
 	}
 }
 
@@ -241,7 +234,6 @@ func TestSessionReuseMatchesFresh(t *testing.T) {
 func TestSessionRootSweep(t *testing.T) {
 	g := graph.Kautz(2, 2)
 	s := NewSession(Options{})
-	defer s.Close()
 	for root := 0; root < g.N(); root++ {
 		fresh, err := Run(g, Options{Root: root})
 		if err != nil {
@@ -260,8 +252,7 @@ func TestSessionRootSweep(t *testing.T) {
 // TestSessionSurvivesFailedRuns checks a session keeps working after error
 // paths: an invalid graph, a budget failure, then a clean run.
 func TestSessionSurvivesFailedRuns(t *testing.T) {
-	s := NewSession(Options{Workers: 2})
-	defer s.Close()
+	s := NewSession(Options{})
 	invalid := graph.New(3, 2)
 	invalid.MustConnect(0, 1, 1, 1)
 	invalid.MustConnect(1, 1, 0, 1)
@@ -269,12 +260,11 @@ func TestSessionSurvivesFailedRuns(t *testing.T) {
 		t.Fatal("invalid graph must be rejected")
 	}
 	g := graph.Torus(4, 4)
-	sBudget := NewSession(Options{Workers: 2, MaxTicks: 20})
-	defer sBudget.Close()
+	sBudget := NewSession(Options{MaxTicks: 20})
 	if _, err := sBudget.Run(g); !errors.Is(err, sim.ErrMaxTicks) {
 		t.Fatalf("expected ErrMaxTicks, got %v", err)
 	}
-	fresh, err := Run(g, Options{Workers: 2})
+	fresh, err := Run(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,10 +277,11 @@ func TestSessionSurvivesFailedRuns(t *testing.T) {
 	}
 }
 
-// TestSessionCloseIdempotentAndReusable: Close twice, then keep mapping.
+// TestSessionCloseIdempotentAndReusable pins the Close shim callers still
+// make: Close twice, then keep mapping.
 func TestSessionCloseIdempotentAndReusable(t *testing.T) {
 	g := graph.Torus(4, 4)
-	s := NewSession(Options{Workers: 4})
+	s := NewSession(Options{})
 	if _, err := s.Run(g); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +289,7 @@ func TestSessionCloseIdempotentAndReusable(t *testing.T) {
 	s.Close()
 	res, err := s.Run(g)
 	if err != nil {
-		t.Fatalf("closed session must restart lazily: %v", err)
+		t.Fatalf("closed session must keep mapping: %v", err)
 	}
 	if !Exact(g, 0, res.Topology) {
 		t.Fatal("post-Close run inexact")
@@ -310,8 +301,7 @@ func TestSessionCloseIdempotentAndReusable(t *testing.T) {
 // session reusable.
 func TestSessionContextCancel(t *testing.T) {
 	g := graph.Torus(5, 5)
-	s := NewSession(Options{Workers: 2})
-	defer s.Close()
+	s := NewSession(Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.RunContext(ctx, g); !errors.Is(err, context.Canceled) {

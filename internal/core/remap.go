@@ -47,8 +47,8 @@ func (s *Session) Prime(g *graph.Graph, root int) (*RemapResult, error) {
 // never touches the engine; a dirtier one falls back to a full protocol run
 // on the mutated graph, reusing the session's warm engine. Either way the
 // result is bit-equal to a from-scratch map of the mutated graph — the
-// equivalence the remap layer's tests pin across families, seeds, worker
-// counts, and scheduler policies. prevTopo is never mutated.
+// equivalence the remap layer's tests pin across families, seeds, and both
+// ways of driving the engine (Run and RunOne). prevTopo is never mutated.
 func (s *Session) Remap(prevTopo *graph.Graph, st *remap.State, d *graph.Delta, opt remap.Options) (*RemapResult, error) {
 	if st == nil {
 		var err error

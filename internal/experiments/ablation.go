@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"topomap/internal/graph"
 	"topomap/internal/gtd"
 	"topomap/internal/sim"
@@ -15,18 +13,12 @@ import (
 // ever violated, and the worst-case slack. Slowing the KILL token to
 // speed-1 removes the 3× catch-up advantage the cleanup argument rests on;
 // speeding snakes to speed-3 does the same from the other side.
-//
-// The sweep also runs every variant at both ends of the engine worker
-// range (sequential and the harness cap): a healthy variant must report
-// identical exactness and slack on both, and a broken variant must fail
-// identically — the parallel engine may not mask or introduce protocol
-// failures.
 func E10SpeedAblation(s Scale) (*Table, error) {
 	t := &Table{
 		ID:      "E10",
 		Title:   "Speed-assignment ablation",
-		Claim:   "§2.1/Lemma 4.2: KILL must outrun the snakes (speed-3 vs speed-1) for cleanup to meet its deadline, at every engine worker count",
-		Columns: []string{"variant", "workers", "runs", "exact", "failures", "deadline violations", "min slack"},
+		Claim:   "§2.1/Lemma 4.2: KILL must outrun the snakes (speed-3 vs speed-1) for cleanup to meet its deadline",
+		Columns: []string{"variant", "runs", "exact", "failures", "deadline violations", "min slack"},
 	}
 	variants := []struct {
 		name string
@@ -62,55 +54,39 @@ func E10SpeedAblation(s Scale) (*Table, error) {
 		cases = append(cases, c{graph.FamilyTorus, 42, 5}, c{graph.FamilyRandom, 30, 9},
 			c{graph.FamilyBiRing, 15, 2}, c{graph.FamilyKautz, 24, 8})
 	}
-	workerEnds := []int{1}
-	if mw := maxWorkers(); mw > 1 {
-		workerEnds = append(workerEnds, mw)
-	}
 	for _, v := range variants {
-		for _, workers := range workerEnds {
-			runs, exact, failures, viol := 0, 0, 0, 0
-			minSlack := 1 << 30
-			for _, cs := range cases {
-				g, err := graph.Build(cs.fam, cs.n, cs.seed)
-				if err != nil {
-					return nil, err
-				}
-				runs++
-				res := runAblated(g, v.cfg, workers)
-				if res.failed {
-					failures++
-					continue
-				}
-				if res.exact {
-					exact++
-				}
-				viol += res.violations
-				if res.minSlack < minSlack {
-					minSlack = res.minSlack
-				}
+		runs, exact, failures, viol := 0, 0, 0, 0
+		minSlack := 1 << 30
+		for _, cs := range cases {
+			g, err := graph.Build(cs.fam, cs.n, cs.seed)
+			if err != nil {
+				return nil, err
 			}
-			slackStr := "-"
-			if minSlack != 1<<30 {
-				slackStr = fmtI(minSlack)
+			runs++
+			res := runAblated(g, v.cfg)
+			if res.failed {
+				failures++
+				continue
 			}
-			t.Rows = append(t.Rows, []string{v.name, fmtI(workers), fmtI(runs), fmtI(exact),
-				fmtI(failures), fmtI(viol), slackStr})
+			if res.exact {
+				exact++
+			}
+			viol += res.violations
+			if res.minSlack < minSlack {
+				minSlack = res.minSlack
+			}
 		}
+		slackStr := "-"
+		if minSlack != 1<<30 {
+			slackStr = fmtI(minSlack)
+		}
+		t.Rows = append(t.Rows, []string{v.name, fmtI(runs), fmtI(exact),
+			fmtI(failures), fmtI(viol), slackStr})
 	}
 	t.Notes = append(t.Notes,
 		"failures = stuck runs, protocol assertion panics, or undecodable transcripts",
-		"violations = growing residue alive past the Lemma 4.2 deadline (cleanup too slow)",
-		fmt.Sprintf("each variant runs at engine workers %s; determinism demands identical rows per variant", workerEndsNote(workerEnds)))
+		"violations = growing residue alive past the Lemma 4.2 deadline (cleanup too slow)")
 	return t, nil
-}
-
-// workerEndsNote renders the worker counts the sweep actually ran at (the
-// cap is GOMAXPROCS or the topobench -workers override).
-func workerEndsNote(ends []int) string {
-	if len(ends) == 1 {
-		return fmt.Sprintf("%d only (single-core harness cap)", ends[0])
-	}
-	return fmt.Sprintf("%d and %d (the harness cap)", ends[0], ends[1])
 }
 
 type ablationRun struct {
@@ -121,16 +97,15 @@ type ablationRun struct {
 }
 
 // runAblated executes one protocol run under a (possibly broken) speed
-// configuration; assertion panics — including those re-raised from engine
-// worker goroutines — are converted into failure records.
-func runAblated(g *graph.Graph, cfg gtd.Config, workers int) (res ablationRun) {
+// configuration; assertion panics are converted into failure records.
+func runAblated(g *graph.Graph, cfg gtd.Config) (res ablationRun) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.failed = true
 		}
 	}()
 	sl := newSlackMeter(g)
-	r, err := runGTDBudget(g, 0, cfg, sl.hook, []sim.Observer{sl}, 600_000, workers, 1)
+	r, err := runGTDBudget(g, 0, cfg, sl.hook, []sim.Observer{sl}, 600_000)
 	if err != nil {
 		return ablationRun{failed: true}
 	}

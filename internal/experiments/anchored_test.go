@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -87,8 +86,8 @@ func anchorCases() []anchorCase {
 	}
 }
 
-// runOneLoop drives an engine tick by tick through RunOne: per-tick
-// dispatch with no sequential burst.
+// runOneLoop drives an engine tick by tick through RunOne: no burst loop
+// and no idle-tick jump.
 func runOneLoop(e *sim.Engine) (sim.Stats, error) {
 	for {
 		more, err := e.RunOne()
@@ -107,7 +106,7 @@ func (c anchorCase) run(t *testing.T, opts sim.Options, drive func(*sim.Engine) 
 	if c.faults != nil {
 		opts.Faults = c.faults
 	}
-	r, err := runFingerprinted(g, opts, c.window, false, drive)
+	r, err := runFingerprinted(g, opts, c.window, drive)
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
@@ -158,38 +157,27 @@ func TestLargeNSmoke(t *testing.T) {
 	}
 }
 
-// TestAnchoredSchedulerMatrix replays a subset of anchors across the
-// dispatch surface — dense vs sparse substrate × worker counts 1/2/4/8 ×
-// the default threshold ("auto") vs ParallelThreshold 1, every non-empty
-// tick fanned out ("parallel") — plus per-tick RunOne dispatch
-// ("sequential"), and demands the recorded fingerprint from every
-// combination. The expensive cells (full dense sweeps of the
-// 100000-node graph) keep the matrix honest without keeping CI hostage:
-// dense large-N runs once, at the highest worker count.
+// TestAnchoredSchedulerMatrix replays a subset of anchors across both
+// scheduling substrates (the dense Naive sweep and the sparse frontier) and
+// both ways of driving the engine (Run's burst loop and a per-tick RunOne
+// loop), and demands the recorded fingerprint from every combination. The
+// dense sweep of the 100000-node ring runs under Run only: dense mode never
+// takes Run's idle-tick jump, so its RunOne twin would repeat the most
+// expensive cell through the same per-tick code the small dense cells
+// already cover.
 func TestAnchoredSchedulerMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("anchored scheduler matrix skipped in -short mode")
 	}
 	type cfg struct {
-		dense   bool
-		mode    string // auto, parallel, or sequential
-		workers int
+		dense  bool
+		runOne bool
 	}
-	grid := func(substrates ...bool) []cfg {
-		var cs []cfg
-		for _, dense := range substrates {
-			for _, w := range []int{1, 2, 4, 8} {
-				cs = append(cs, cfg{dense, "auto", w}, cfg{dense, "parallel", w})
-			}
-		}
-		return cs
-	}
+	all := []cfg{{false, false}, {false, true}, {true, false}, {true, true}}
 	matrix := map[string][]cfg{
-		"ring1024-faulted": append(grid(false, true),
-			cfg{false, "sequential", 1}, cfg{false, "sequential", 8}),
-		"ring64": append(grid(false, true), cfg{false, "sequential", 1}),
-		"ring100k": append(grid(false),
-			cfg{true, "auto", 8}, cfg{false, "sequential", 1}),
+		"ring1024-faulted": all,
+		"ring64":           all,
+		"ring100k":         {{false, false}, {false, true}, {true, false}},
 	}
 	cases := map[string]anchorCase{}
 	for _, c := range anchorCases() {
@@ -201,22 +189,18 @@ func TestAnchoredSchedulerMatrix(t *testing.T) {
 			t.Fatalf("matrix references unknown anchor %s", cname)
 		}
 		for _, cf := range cfgs {
-			sub := "sparse"
+			name, drive := "sparse", (*sim.Engine).Run
 			if cf.dense {
-				sub = "dense"
+				name = "dense"
 			}
-			name := fmt.Sprintf("%s-%s-w%d", sub, cf.mode, cf.workers)
+			if cf.runOne {
+				name, drive = name+"-runone", runOneLoop
+			} else {
+				name += "-run"
+			}
 			t.Run(c.name+"/"+name, func(t *testing.T) {
 				t.Parallel()
-				opts := sim.Options{Naive: cf.dense, Workers: cf.workers}
-				drive := (*sim.Engine).Run
-				switch cf.mode {
-				case "parallel":
-					opts.ParallelThreshold = 1
-				case "sequential":
-					drive = runOneLoop
-				}
-				if got := c.run(t, opts, drive); got != c.want {
+				if got := c.run(t, sim.Options{Naive: cf.dense}, drive); got != c.want {
 					t.Errorf("fingerprint diverged under %s\n got  %s\n want %s", name, got, c.want)
 				}
 			})

@@ -24,8 +24,7 @@ import (
 //  3. Throughput scales with the pool on multi-core hardware (on a single
 //     core the sweep collapses to overhead measurement).
 //
-// Per-run engine workers are pinned to 1: a batch scales across runs, not
-// within one, so run-level concurrency carries all the parallelism.
+// A batch scales across runs: each run steps on one goroutine.
 func E13BatchThroughput(s Scale) (*Table, error) {
 	t := &Table{
 		ID:      "E13",
@@ -37,7 +36,7 @@ func E13BatchThroughput(s Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := topomap.Options{Workers: 1}
+	opts := topomap.Options{}
 
 	// Baseline: fresh engine, automata, and mapper per run (topomap.Map).
 	var baseline []*topomap.Result

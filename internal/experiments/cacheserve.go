@@ -82,7 +82,6 @@ func E19CachedServing(s Scale) (*Table, error) {
 func e19Headline(t *Table, n int) error {
 	g := topomap.Ring(n)
 	svc := topomap.NewService(topomap.ServiceOptions{
-		Options:    topomap.Options{Workers: 1},
 		Sessions:   1,
 		QueueDepth: 4,
 		CacheBytes: 64 << 20,
@@ -150,8 +149,7 @@ func e19Catalog(n int) ([]*graph.Graph, []*topomap.Result, error) {
 			catalog = append(catalog, g)
 		}
 	}
-	sess := topomap.NewSession(topomap.Options{Workers: 1})
-	defer sess.Close()
+	sess := topomap.NewSession(topomap.Options{})
 	baselines := make([]*topomap.Result, len(catalog))
 	for i, g := range catalog {
 		res, err := sess.Map(g)
@@ -168,7 +166,6 @@ func e19Catalog(n int) ([]*graph.Graph, []*topomap.Result, error) {
 // service of `pool` sessions.
 func e19ZipfRound(t *Table, catalog []*graph.Graph, baselines []*topomap.Result, pool, clients, perClient int) error {
 	svc := topomap.NewService(topomap.ServiceOptions{
-		Options:    topomap.Options{Workers: 1},
 		Sessions:   pool,
 		QueueDepth: clients * perClient,
 		CacheBytes: 64 << 20,

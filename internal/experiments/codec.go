@@ -135,7 +135,6 @@ func e20ServeRow(t *Table, catalogN, requests int) error {
 		return err
 	}
 	svc := topomap.NewService(topomap.ServiceOptions{
-		Options:    topomap.Options{Workers: 1},
 		Sessions:   1,
 		QueueDepth: 16,
 		CacheBytes: 64 << 20,

@@ -43,7 +43,6 @@ func E1Correctness(s Scale) (*Table, error) {
 	// The whole sweep reuses one session: every run recycles the engine,
 	// automata, and mapper of the previous one.
 	sess := newSweepSession(gtd.DefaultConfig())
-	defer sess.Close()
 	for _, fam := range graph.AllFamilies() {
 		for _, n := range sizes[fam] {
 			runs, exact := 0, 0

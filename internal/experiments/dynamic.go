@@ -59,8 +59,7 @@ func E21IncrementalRemap(s Scale) (*Table, error) {
 		{"ba", graph.FamilyBarabasiAlbert, 4_096},
 	}
 
-	sess := topomap.NewSession(topomap.Options{Workers: 1})
-	defer sess.Close()
+	sess := topomap.NewSession(topomap.Options{})
 
 	fallbacks := 0
 	for _, f := range families {
@@ -90,7 +89,7 @@ func E21IncrementalRemap(s Scale) (*Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"full = engine: measured cold protocol run of the mutated network (Workers=1, warm session); full = est: that cost extrapolated as t(mid)·(N/mid)^α — direct engine runs at the large sizes are infeasible, which is the penalty the incremental path removes",
+		"full = engine: measured cold protocol run of the mutated network (warm session); full = est: that cost extrapolated as t(mid)·(N/mid)^α — direct engine runs at the large sizes are infeasible, which is the penalty the incremental path removes",
 		"struct µs is the measured clone + structural rebuild (remap.Rebuild) of the mutated network: the theorem-powered full rebuild, a conservative measured lower bound on any full remap",
 		"equal: the patched reconstruction is graph.Equal to and shares CanonicalDigest(0) with the full-map reference — the engine result on engine-measured rows, the structural rebuild elsewhere; correctness is never extrapolated",
 		fmt.Sprintf("deep deltas (dirty > 25%% of N) refused the patch (remap.ErrTooDirty) and fell back to the engine %d times — counted, speedup 1.00 by construction; their forced patches (maxdirty=1) are also bit-equal", fallbacks),

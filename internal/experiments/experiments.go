@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 
@@ -18,38 +19,31 @@ import (
 	"topomap/internal/sim"
 )
 
-// Workers caps the engine worker count the harness runs with; 0 (the
-// default) means runtime.GOMAXPROCS(0). cmd/topobench -workers sets it.
-// Because the engine is deterministic in the worker count, it changes wall
-// times only, never a measured table value (except the E9/E10 sweeps,
-// which report per-worker-count rows up to this cap).
-var Workers int
-
 // Sessions caps the session-pool sweep of the E13 batch experiment; 0 (the
 // default) sweeps {1, 2, 4, 8}. cmd/topobench -sessions sets it. Results
 // are identical at any pool size — only throughput varies.
 var Sessions int
 
-// maxWorkers resolves the harness worker cap.
-func maxWorkers() int {
-	if Workers > 0 {
-		return Workers
+// hostNote names the machine and build a measurement ran on: CPU count,
+// GOMAXPROCS, Go version, and the VCS revision stamped into the binary.
+func hostNote() string {
+	rev := "unknown"
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		var modified bool
+		for _, kv := range bi.Settings {
+			switch kv.Key {
+			case "vcs.revision":
+				rev = kv.Value[:min(len(kv.Value), 7)]
+			case "vcs.modified":
+				modified = kv.Value == "true"
+			}
+		}
+		if modified {
+			rev += "+modified"
+		}
 	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// workerSweep returns the worker counts the E9/E10 sweeps measure: 1, then
-// doublings, then the cap itself.
-func workerSweep() []int {
-	max := maxWorkers()
-	out := []int{1}
-	for w := 2; w < max; w *= 2 {
-		out = append(out, w)
-	}
-	if max > 1 {
-		out = append(out, max)
-	}
-	return out
+	return fmt.Sprintf("host: NumCPU %d, GOMAXPROCS %d, %s, commit %s",
+		runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), rev)
 }
 
 // Table is one experiment's result, renderable as text.
@@ -133,7 +127,6 @@ var registry = []struct {
 	{"e12", E12Pigeonhole},
 	{"e13", E13BatchThroughput},
 	{"e14", E14FrontierScheduler},
-	{"e15", E15DispatchCrossover},
 	{"e16", E16ServedThroughput},
 	{"e17", E17Hostile},
 	{"e18", E18Scale},
@@ -172,21 +165,19 @@ type runResult struct {
 	trans    int
 }
 
-// runGTD executes the protocol with the mapper attached, on the harness's
-// full worker cap (results are worker-count-invariant) with the engine's
-// default adaptive dispatch.
+// runGTD executes the protocol with the mapper attached.
 func runGTD(g *graph.Graph, root int, cfg gtd.Config, hooks gtd.Hooks, obs []sim.Observer) (*runResult, error) {
-	return runGTDBudget(g, root, cfg, hooks, obs, 64_000_000, maxWorkers(), 0)
+	return runGTDBudget(g, root, cfg, hooks, obs, 64_000_000)
 }
 
-// newSweepSession returns a reusable protocol session on the harness worker
-// cap, for the hook-free family sweeps (E1/E2/E11): one engine, automata
+// newSweepSession returns a reusable protocol session for the hook-free
+// family sweeps (E1/E2/E11): one engine, automata
 // set, and mapper recycled across the whole sweep instead of reallocated
 // per run. Results are identical to per-run engines (the session
 // equivalence tests assert it); the sweep just allocates and starts up
 // far less.
 func newSweepSession(cfg gtd.Config) *core.Session {
-	return core.NewSession(core.Options{MaxTicks: 64_000_000, Workers: maxWorkers(), Config: &cfg})
+	return core.NewSession(core.Options{MaxTicks: 64_000_000, Config: &cfg})
 }
 
 // runSessionGTD executes one run of a sweep on a reusable session.
@@ -207,11 +198,8 @@ func runSessionGTD(s *core.Session, g *graph.Graph, root int) (*runResult, error
 }
 
 // runGTDBudget is runGTD with an explicit tick budget (the speed ablation
-// runs deliberately broken configurations that may never terminate), an
-// explicit engine worker count, and an explicit parallel-dispatch
-// threshold (the E10 sweep forces 1 so its workers=GOMAXPROCS rows really
-// exercise the parallel scheduler on its small graphs).
-func runGTDBudget(g *graph.Graph, root int, cfg gtd.Config, hooks gtd.Hooks, obs []sim.Observer, budget, workers, parThreshold int) (*runResult, error) {
+// runs deliberately broken configurations that may never terminate).
+func runGTDBudget(g *graph.Graph, root int, cfg gtd.Config, hooks gtd.Hooks, obs []sim.Observer, budget int) (*runResult, error) {
 	m := mapper.New(g.Delta())
 	if hooks != nil {
 		prev := cfg.Hooks
@@ -223,12 +211,10 @@ func runGTDBudget(g *graph.Graph, root int, cfg gtd.Config, hooks gtd.Hooks, obs
 		}
 	}
 	eng := sim.New(g, sim.Options{
-		Root:              root,
-		MaxTicks:          budget,
-		Workers:           workers,
-		ParallelThreshold: parThreshold,
-		Transcript:        m.Process,
-		Observers:         obs,
+		Root:       root,
+		MaxTicks:   budget,
+		Transcript: m.Process,
+		Observers:  obs,
 	}, gtd.NewFactory(cfg))
 	stats, err := eng.Run()
 	if err != nil {

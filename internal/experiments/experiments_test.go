@@ -102,32 +102,13 @@ func checkInvariants(t *testing.T, id string, table *Table) {
 			}
 		}
 	case "e10":
-		// The paper-default variant must be fully exact with no
-		// failures, at every worker count it was swept over — and every
-		// variant's outcome must be identical across worker counts
-		// (engine determinism).
-		r, x, f, w := col(table, "runs"), col(table, "exact"), col(table, "failures"), col(table, "workers")
-		byVariant := map[string]string{}
+		// The paper-default variant must be fully exact with no failures.
+		r, x, f := col(table, "runs"), col(table, "exact"), col(table, "failures")
 		for _, row := range table.Rows {
 			if strings.HasPrefix(row[0], "paper defaults") {
 				if row[r] != row[x] || row[f] != "0" {
 					t.Errorf("E10 default variant not clean: %v", row)
 				}
-			}
-			// Every column except the worker count itself must be
-			// identical across worker counts (engine determinism),
-			// including violations and slack.
-			outcome := make([]string, 0, len(row))
-			for i, cell := range row {
-				if i != w {
-					outcome = append(outcome, cell)
-				}
-			}
-			key := strings.Join(outcome, "|")
-			if prev, ok := byVariant[row[0]]; !ok {
-				byVariant[row[0]] = key
-			} else if prev != key {
-				t.Errorf("E10 %s outcome differs across worker counts: %q vs %q", row[0], prev, key)
 			}
 		}
 	case "e12":
@@ -363,19 +344,6 @@ func checkInvariants(t *testing.T, id string, table *Table) {
 				if v, _ := strconv.ParseFloat(row[r], 64); v < 10 {
 					t.Errorf("E14 N=1024 iteration ratio %.1f < 10: %v", v, row)
 				}
-			}
-		}
-	case "e15":
-		// Every threshold and worker count must map identically; a
-		// 16-node threshold fans out some ticks of every window, so the
-		// pool path is exercised, not just timed.
-		id, par := col(table, "identical"), col(table, "T16 par%")
-		for _, row := range table.Rows {
-			if row[id] != "yes" {
-				t.Errorf("E15 dispatch divergence: %v", row)
-			}
-			if v, _ := strconv.ParseFloat(row[par], 64); v <= 0 {
-				t.Errorf("E15 T16 fanned out no tick: %v", row)
 			}
 		}
 	}

@@ -12,25 +12,23 @@ import (
 	"topomap/internal/sim"
 )
 
-// fingerprintRun is the shared harness of the scheduler-equivalence
-// experiments (E14, E15): run the protocol under the given engine options,
+// fingerprintRun is the harness of the scheduler-equivalence experiment
+// (E14) and the anchored transcript tests: run the protocol under the given
+// engine options,
 // fingerprinting everything observable — an FNV-1a hash of the full root
 // transcript stream plus the scheduler-invariant statistics and the error
 // outcome — so two runs are byte-comparable by a single string. window > 0
 // bounds the run by a tick budget (ErrMaxTicks is then the expected,
 // shared outcome); drive runs the engine (normally (*sim.Engine).Run) and
-// wall is measured around it only.
-//
-// includeSteps folds StepCalls into the fingerprint: dispatch paths at a
-// fixed scheduling substrate (E15) must agree on it, while dense and
-// sparse substrates (E14) differ on it by design.
+// wall is measured around it only. StepCalls stays out of the fingerprint
+// ("s=-"): dense and sparse substrates differ on it by design.
 type fingerprintRun struct {
 	stats       sim.Stats
 	wall        time.Duration
 	fingerprint string
 }
 
-func runFingerprinted(g *graph.Graph, opts sim.Options, window int, includeSteps bool,
+func runFingerprinted(g *graph.Graph, opts sim.Options, window int,
 	drive func(*sim.Engine) (sim.Stats, error)) (*fingerprintRun, error) {
 	opts.MaxTicks = 64_000_000
 	if window > 0 {
@@ -55,15 +53,10 @@ func runFingerprinted(g *graph.Graph, opts sim.Options, window int, includeSteps
 	if err != nil && !(window > 0 && errors.Is(err, sim.ErrMaxTicks)) {
 		return nil, err
 	}
-	obs := stats.Observables()
-	steps := "-"
-	if includeSteps {
-		steps = fmt.Sprintf("%d", obs.StepCalls)
-	}
 	return &fingerprintRun{
 		stats: stats,
 		wall:  wall,
-		fingerprint: fmt.Sprintf("%x|t=%d|m=%d|s=%s|a=%d|err=%v",
-			h.Sum64(), obs.Ticks, obs.NonBlankMessages, steps, obs.MaxActive, err),
+		fingerprint: fmt.Sprintf("%x|t=%d|m=%d|s=-|a=%d|err=%v",
+			h.Sum64(), stats.Ticks, stats.NonBlankMessages, stats.MaxActive, err),
 	}, nil
 }

@@ -86,8 +86,5 @@ func E14FrontierScheduler(s Scale) (*Table, error) {
 // the fingerprint: the dense sweep steps every node by definition, so its
 // step count differs from the frontier scheduler's by design.
 func runFrontierMode(g *graph.Graph, naive bool, window int) (*fingerprintRun, error) {
-	return runFingerprinted(g, sim.Options{
-		Naive:   naive,
-		Workers: Workers, // wall-clock knob only; 0 = GOMAXPROCS
-	}, window, false, (*sim.Engine).Run)
+	return runFingerprinted(g, sim.Options{Naive: naive}, window, (*sim.Engine).Run)
 }

@@ -60,7 +60,6 @@ func e17Run(g *graph.Graph, plan *sim.FaultPlan, budget int) (outcome e17Outcome
 	m := mapper.New(g.Delta())
 	eng := sim.New(g, sim.Options{
 		MaxTicks:   budget,
-		Workers:    maxWorkers(),
 		Faults:     plan,
 		Transcript: m.Process,
 	}, gtd.NewFactory(gtd.DefaultConfig()))
@@ -142,6 +141,6 @@ func E17Hostile(scale Scale) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"the protocol assumes a reliable network; a faulted run that cannot complete fails as a quiescent deadlock, a tick-budget error, or a decoder error",
 		fmt.Sprintf("budget %d ticks per run; crash victim is node N/2 at tick 300 (well inside the mapping phase)", budget),
-		"drop decisions are a pure hash of (seed, tick, edge): identical for every worker count and dispatch path")
+		"drop decisions are a pure hash of (seed, tick, edge): identical under Run and RunOne and under dense and sparse scheduling")
 	return t, nil
 }

@@ -181,7 +181,6 @@ func transcriptHash(g *graph.Graph) ([32]byte, int, error) {
 	eng := sim.New(g, sim.Options{
 		Root:     0,
 		MaxTicks: 8_000_000,
-		Workers:  maxWorkers(),
 		Transcript: func(e sim.TranscriptEntry) {
 			m.Process(e)
 			fmt.Fprintf(h, "t%d", e.Tick)

@@ -53,7 +53,7 @@ const e18Window = 4000
 // directly comparable.
 const e18Seed = 9
 
-// buildGraph builds the E18 and E15 windows' networks. It is a seam for the
+// buildGraph builds the E18 windows' networks. It is a seam for the
 // test binary, which builds each 10^5-node network once (anchored_test.go):
 // the Erdős–Rényi one takes about a minute.
 var buildGraph = graph.Build
@@ -120,7 +120,6 @@ func e18Run(fam graph.Family, n int) (*e18Row, error) {
 	arena := gtd.NewArena(gtd.DefaultConfig())
 	eng := sim.New(g, sim.Options{
 		MaxTicks: e18Window,
-		Workers:  maxWorkers(),
 		Transcript: func(e sim.TranscriptEntry) {
 			var buf [8]byte
 			binary.LittleEndian.PutUint64(buf[:], uint64(e.Tick))
@@ -142,21 +141,19 @@ func e18Run(fam graph.Family, n int) (*e18Row, error) {
 	heapAfter := e18HeapNow()
 	mem := eng.Mem()
 	arenaBytes := arena.FootprintBytes()
-	obs := stats.Observables()
 	row := &e18Row{
 		fam:        fam,
 		n:          g.N(),
 		delta:      g.Delta(),
-		ticks:      obs.Ticks,
+		ticks:      stats.Ticks,
 		acctBPN:    float64(mem.TotalBytes+arenaBytes) / float64(g.N()),
 		heapBPN:    float64(heapAfter-heapBefore) / float64(g.N()),
 		engBytes:   mem.TotalBytes,
 		arenaBytes: arenaBytes,
 		wall:       wall,
 		fp: fmt.Sprintf("%x|t=%d|m=%d|s=-|a=%d|err=%v",
-			h.Sum64(), obs.Ticks, obs.NonBlankMessages, obs.MaxActive, err),
+			h.Sum64(), stats.Ticks, stats.NonBlankMessages, stats.MaxActive, err),
 	}
-	eng.Close()
 	runtime.KeepAlive(eng)
 	return row, nil
 }

@@ -41,7 +41,6 @@ func E2GTDScaling(s Scale) (*Table, error) {
 		}
 	}
 	sess := newSweepSession(gtd.DefaultConfig())
-	defer sess.Close()
 	for _, cs := range cases {
 		for _, n := range cs.sizes {
 			g, err := graph.Build(cs.fam, n, 3)
@@ -119,7 +118,6 @@ func standaloneRCA(g *graph.Graph, root, from int) (int, error) {
 	eng := sim.New(g, sim.Options{
 		Root:              root,
 		MaxTicks:          16_000_000,
-		Workers:           maxWorkers(),
 		StopWhenQuiescent: true,
 	}, gtd.NewFactory(cfg))
 	err := eng.Automaton(from).(*gtd.Processor).StartRCA(wire.LoopToken{Type: wire.LoopForward, Out: 1, In: 1})
@@ -186,7 +184,6 @@ func standaloneBCA(g *graph.Graph, from, inPort int) (int, error) {
 	eng := sim.New(g, sim.Options{
 		Root:              0,
 		MaxTicks:          16_000_000,
-		Workers:           maxWorkers(),
 		StopWhenQuiescent: true,
 	}, gtd.NewFactory(cfg))
 	if err := eng.Automaton(from).(*gtd.Processor).StartBCA(inPort, wire.PayloadPing); err != nil {
@@ -218,7 +215,6 @@ func E11DiameterFamilies(s Scale) (*Table, error) {
 		sizes = append(sizes, 96, 144)
 	}
 	sess := newSweepSession(gtd.DefaultConfig())
-	defer sess.Close()
 	for _, n := range sizes {
 		row := []string{fmtI(n)}
 		for _, fam := range []graph.Family{graph.FamilyRing, graph.FamilyTorus, graph.FamilyKautz} {

@@ -38,7 +38,7 @@ func E16ServedThroughput(s Scale) (*Table, error) {
 		ringN, perClient = 64, 16
 	}
 	g := topomap.Ring(ringN)
-	opts := topomap.Options{Workers: 1}
+	opts := topomap.Options{}
 	baseline, err := topomap.Map(g, opts)
 	if err != nil {
 		return nil, err
@@ -77,7 +77,6 @@ func E16ServedThroughput(s Scale) (*Table, error) {
 	jobs := perClient
 	sess := topomap.NewSession(opts)
 	if _, err := sess.Map(g); err != nil {
-		sess.Close()
 		return nil, err
 	}
 	var dLats []time.Duration
@@ -94,7 +93,6 @@ func E16ServedThroughput(s Scale) (*Table, error) {
 		}
 		return nil
 	})
-	sess.Close()
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package gtd
 
 import (
-	"sync"
 	"unsafe"
 
 	"topomap/internal/sim"
@@ -28,20 +27,8 @@ type Arena struct {
 	used   int // processors handed out
 }
 
-// NewArena prepares an arena whose processors run cfg. A non-nil hook is
-// wrapped in one shared mutex exactly as NewFactory documents.
-func NewArena(cfg Config) *Arena {
-	if cfg.Hooks != nil {
-		var mu sync.Mutex
-		inner := cfg.Hooks
-		cfg.Hooks = func(node int, kind EventKind, payload int) {
-			mu.Lock()
-			defer mu.Unlock()
-			inner(node, kind, payload)
-		}
-	}
-	return &Arena{cfg: cfg}
-}
+// NewArena prepares an arena whose processors run cfg.
+func NewArena(cfg Config) *Arena { return &Arena{cfg: cfg} }
 
 // Factory returns the sim factory allocating from this arena. Successive
 // calls hand out successive slots; the engine's Resettable recycling means

@@ -89,13 +89,12 @@ const (
 // processor, payload is event-specific (loop token type for EvLoopReturn,
 // BCA payload for EvBCADelivered, 0 otherwise).
 //
-// Hooks fire from inside processor steps. When the engine runs a pulse in
-// parallel (sim.Options.Workers), NewFactory serialises the callback — it
-// is never invoked concurrently — but events of processors stepped by
-// different workers may arrive in either order within one tick. Callbacks
-// must therefore not depend on intra-tick ordering (counters, per-node
-// flags, and tick-stamped traces are all fine; the engine's transcript and
-// statistics are unaffected either way).
+// Hooks fire from inside processor steps, on the goroutine running the
+// engine. Within one tick the engine steps processors in ascending node
+// order, so events arrive in ascending node order, and a node's own events
+// in the order its step raises them: the event sequence is deterministic,
+// identical on every run of the same graph and configuration. A callback
+// needs no synchronisation unless engines running concurrently share it.
 type Hooks func(node int, kind EventKind, payload int)
 
 func (c *Config) hook(node int, kind EventKind, payload int) {

@@ -23,7 +23,7 @@ const (
 // fixed component order of the paper's channel composition) means the
 // common step runs one or two emitters, where polling the dozen idle
 // components through their Emit state machines used to dominate the
-// per-step cost (E15's fixed-overhead measurements). The mask is read from
+// per-step cost. The mask is read from
 // a snapshot: an emitter draining a component leaves its stale bit for
 // refreshLive to clear at the end of the step.
 func (p *Processor) emit(io *sim.Ports) {

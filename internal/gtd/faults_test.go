@@ -2,10 +2,8 @@ package gtd_test
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"topomap/internal/graph"
 	"topomap/internal/gtd"
@@ -266,8 +264,7 @@ func TestFaultPlanCrashMidMap(t *testing.T) {
 // TestFaultPlanEngineReuseAfterFailure pins the reuse contract the session
 // layer depends on: an engine whose run was wrecked by faults — crash
 // deadlock or heavy loss — must, after SetFaults(nil) and Reset, produce a
-// run bit-identical to a fresh engine's, and its worker pool must not leak
-// across the failure (checked with a real multi-worker pool).
+// run bit-identical to a fresh engine's.
 func TestFaultPlanEngineReuseAfterFailure(t *testing.T) {
 	g := graph.BarabasiAlbert(18, 2, 5, 9)
 	plans := []*sim.FaultPlan{
@@ -279,7 +276,6 @@ func TestFaultPlanEngineReuseAfterFailure(t *testing.T) {
 		m := mapper.New(g.Delta())
 		eng := sim.New(g, sim.Options{
 			MaxTicks: 100_000,
-			Workers:  4,
 			Transcript: func(e sim.TranscriptEntry) {
 				m.Process(e)
 				fmt.Fprintf(&b, "%d:%v%v\n", e.Tick, e.In, e.Out)
@@ -302,66 +298,45 @@ func TestFaultPlanEngineReuseAfterFailure(t *testing.T) {
 	}
 
 	for i, plan := range plans {
-		leakCheck(t, fmt.Sprintf("plan-%d", i), func() {
-			var b strings.Builder
-			m := mapper.New(g.Delta())
-			var record bool
-			eng := sim.New(g, sim.Options{
-				MaxTicks:   100_000,
-				Workers:    4,
-				RetainPool: true,
-				Faults:     plan,
-				Transcript: func(e sim.TranscriptEntry) {
-					m.Process(e)
-					if record {
-						fmt.Fprintf(&b, "%d:%v%v\n", e.Tick, e.In, e.Out)
-					}
-				},
-			}, gtd.NewFactory(gtd.DefaultConfig()))
-			defer eng.Close()
-			if _, err := eng.Run(); err == nil {
-				if _, err := m.Finish(); err == nil {
-					t.Fatalf("plan %d: faulted run must fail", i)
+		var b strings.Builder
+		m := mapper.New(g.Delta())
+		var record bool
+		eng := sim.New(g, sim.Options{
+			MaxTicks: 100_000,
+			Faults:   plan,
+			Transcript: func(e sim.TranscriptEntry) {
+				m.Process(e)
+				if record {
+					fmt.Fprintf(&b, "%d:%v%v\n", e.Tick, e.In, e.Out)
 				}
+			},
+		}, gtd.NewFactory(gtd.DefaultConfig()))
+		if _, err := eng.Run(); err == nil {
+			if _, err := m.Finish(); err == nil {
+				t.Fatalf("plan %d: faulted run must fail", i)
 			}
-			// Clear the faults and reuse the engine: the rerun must be
-			// bit-identical to the fresh reference.
-			eng.SetFaults(nil)
-			eng.Reset(g)
-			m = mapper.New(g.Delta())
-			record = true
-			stats, err := eng.Run()
-			if err != nil {
-				t.Fatalf("plan %d: reused engine failed: %v", i, err)
-			}
-			mapped, err := m.Finish()
-			if err != nil {
-				t.Fatalf("plan %d: reused engine decode failed: %v", i, err)
-			}
-			if !g.IsomorphicFrom(0, mapped, 0) {
-				t.Fatalf("plan %d: reused engine did not map exactly", i)
-			}
-			fmt.Fprintf(&b, "ticks=%d msgs=%d\n", stats.Ticks, stats.NonBlankMessages)
-			if got := b.String(); got != want {
-				t.Fatalf("plan %d: reused engine diverges from fresh:\nfresh:\n%s\nreused:\n%s", i, want, got)
-			}
-		})
-	}
-}
-
-// leakCheck runs fn and asserts the goroutine count settles back to its
-// starting level afterwards (the engine worker pool must not survive an
-// injected failure).
-func leakCheck(t *testing.T, name string, fn func()) {
-	t.Helper()
-	before := runtime.NumGoroutine()
-	fn()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("%s: leaked worker goroutines: %d before, %d after", name, before, got)
+		}
+		// Clear the faults and reuse the engine: the rerun must be
+		// bit-identical to the fresh reference.
+		eng.SetFaults(nil)
+		eng.Reset(g)
+		m = mapper.New(g.Delta())
+		record = true
+		stats, err := eng.Run()
+		if err != nil {
+			t.Fatalf("plan %d: reused engine failed: %v", i, err)
+		}
+		mapped, err := m.Finish()
+		if err != nil {
+			t.Fatalf("plan %d: reused engine decode failed: %v", i, err)
+		}
+		if !g.IsomorphicFrom(0, mapped, 0) {
+			t.Fatalf("plan %d: reused engine did not map exactly", i)
+		}
+		fmt.Fprintf(&b, "ticks=%d msgs=%d\n", stats.Ticks, stats.NonBlankMessages)
+		if got := b.String(); got != want {
+			t.Fatalf("plan %d: reused engine diverges from fresh:\nfresh:\n%s\nreused:\n%s", i, want, got)
+		}
 	}
 }
 

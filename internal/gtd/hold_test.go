@@ -69,7 +69,6 @@ func TestHoldMatchesBusy(t *testing.T) {
 				})
 				eng = sim.New(g, sim.Options{
 					MaxTicks:  2_000_000,
-					Workers:   1,
 					Naive:     dense,
 					Observers: []sim.Observer{check},
 				}, NewFactory(cfg))
@@ -102,7 +101,6 @@ func TestHoldSpeedAblations(t *testing.T) {
 			})
 			eng := sim.New(g, sim.Options{
 				MaxTicks:  4_000_000,
-				Workers:   1,
 				Observers: []sim.Observer{check},
 			}, NewFactory(cfg))
 			if _, err := eng.Run(); err != nil {

@@ -316,12 +316,8 @@ func (p *Processor) Reset(info sim.NodeInfo) {
 
 // NewFactory adapts New to the engine's factory signature, backing all
 // processors it builds with one Arena: a handful of flat blocks instead of N
-// individual heap objects, and a single shared Config. If cfg carries hooks,
-// every processor built by this factory shares one mutex around the
-// callback: the engine may step processors of one pulse concurrently, and
-// serialising here keeps every hook consumer (experiment meters, traces,
-// tests) race-free without each one locking — see the Hooks doc for the
-// intra-tick ordering caveat this leaves.
+// individual heap objects, and a single shared Config (hooks included; see
+// the Hooks doc for when they fire).
 func NewFactory(cfg Config) func(sim.NodeInfo) sim.Automaton {
 	return NewArena(cfg).Factory()
 }

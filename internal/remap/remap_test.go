@@ -24,26 +24,20 @@ func mapEngine(t *testing.T, g *graph.Graph, root int, o topomap.Options) *graph
 	return res.Topology
 }
 
-// mapSim maps g on a bare engine feeding the transcript mapper, driven by
-// a loop of sim.Engine.RunOne (per-tick dispatch, no sequential burst) when
-// stepwise is set and by Run otherwise.
-func mapSim(t *testing.T, g *graph.Graph, root int, o sim.Options, stepwise bool) *graph.Graph {
+// mapRunOne maps g on a bare engine feeding the transcript mapper, driven
+// by a loop of sim.Engine.RunOne (per-tick stepping, no burst loop).
+func mapRunOne(t *testing.T, g *graph.Graph, root int) *graph.Graph {
 	t.Helper()
 	m := mapper.New(g.Delta())
-	o.Root, o.Transcript = root, m.Process
-	eng := sim.New(g, o, gtd.NewFactory(gtd.DefaultConfig()))
-	if stepwise {
-		for {
-			more, err := eng.RunOne()
-			if err != nil {
-				t.Fatalf("engine map: %v", err)
-			}
-			if !more {
-				break
-			}
+	eng := sim.New(g, sim.Options{Root: root, Transcript: m.Process}, gtd.NewFactory(gtd.DefaultConfig()))
+	for {
+		more, err := eng.RunOne()
+		if err != nil {
+			t.Fatalf("engine map: %v", err)
 		}
-	} else if _, err := eng.Run(); err != nil {
-		t.Fatalf("engine map: %v", err)
+		if !more {
+			break
+		}
 	}
 	r, err := m.Finish()
 	if err != nil {
@@ -128,8 +122,8 @@ func corpusDelta(r *graph.Graph, st *remap.State) *graph.Delta {
 // TestRemapMatchesEngine is the package's correctness anchor: for every
 // corpus family, a patched reconstruction must be graph.Equal to — and share
 // its CanonicalDigest with — the engine's from-scratch map of the mutated
-// graph, under Workers: 1, under per-tick RunOne dispatch, and
-// with four workers fanning out every tick.
+// graph, under Run's burst loop (through topomap.Map) and under per-tick
+// RunOne stepping.
 func TestRemapMatchesEngine(t *testing.T) {
 	for _, tc := range familyCorpus() {
 		r0 := mapEngine(t, tc.g, tc.root, topomap.Options{})
@@ -151,9 +145,8 @@ func TestRemapMatchesEngine(t *testing.T) {
 			name string
 			want *graph.Graph
 		}{
-			{"Workers: 1", mapEngine(t, mutated, 0, topomap.Options{Workers: 1})},
-			{"RunOne", mapSim(t, mutated, 0, sim.Options{}, true)},
-			{"fan-out", mapSim(t, mutated, 0, sim.Options{Workers: 4, ParallelThreshold: 1}, false)},
+			{"Map", mapEngine(t, mutated, 0, topomap.Options{})},
+			{"RunOne", mapRunOne(t, mutated, 0)},
 		}
 		for _, e := range engines {
 			if !res.Graph.Equal(e.want) {

@@ -49,11 +49,9 @@ func (s CacheState) String() string {
 
 // optionsFingerprint hashes every run option that can influence a job's
 // observable outcome — result bits or statistics — into the cache key's
-// options half. The engine's determinism guarantee makes results invariant
-// in Workers, but RunResult.Stats carries dispatch telemetry
-// (SeqTicks/ParTicks/Bursts) that is not, so the fingerprint is
-// conservative: any difference in MaxTicks, validation, worker count,
-// protocol speeds, or fault plan isolates the entry.
+// options half: any difference in MaxTicks, validation, protocol speeds, or
+// fault plan isolates the entry. The ignored core.Options.Workers is left
+// out, so it never splits the cache.
 // The root is deliberately absent — it is anchored inside the canonical
 // digest, which is the whole point of content addressing (isomorphic
 // requests share).
@@ -74,7 +72,6 @@ func optionsFingerprint(o core.Options) uint64 {
 	}
 	i(o.MaxTicks)
 	b(o.Validate)
-	i(o.Workers)
 	if o.Config == nil {
 		u64(0)
 	} else {

@@ -19,7 +19,6 @@ func cachedPool(size int) *Pool {
 		Size:       size,
 		QueueDepth: 32,
 		CacheBytes: 1 << 20,
-		Run:        core.Options{Workers: 1},
 	})
 }
 
@@ -37,7 +36,7 @@ func sameResult(a, b *core.RunResult) bool {
 // fresh run and a run on a cache-less pool (the anchored-fingerprint
 // discipline applied to the serving tier).
 func TestCacheHitServesIdentical(t *testing.T) {
-	bare := New(Options{Size: 1, Run: core.Options{Workers: 1}})
+	bare := New(Options{Size: 1})
 	defer bare.Close()
 	p := cachedPool(1)
 	defer p.Close()
@@ -128,7 +127,7 @@ func TestSingleflightCollapse(t *testing.T) {
 		Size:       2,
 		QueueDepth: 32,
 		CacheBytes: 1 << 20,
-		Run:        core.Options{Workers: 1, Observers: []sim.Observer{obs}},
+		Run:        core.Options{Observers: []sim.Observer{obs}},
 	})
 	defer p.Close()
 
@@ -216,7 +215,7 @@ func TestSingleflightWaiterCancel(t *testing.T) {
 		Size:       1,
 		QueueDepth: 16,
 		CacheBytes: 1 << 20,
-		Run:        core.Options{Workers: 1, Observers: []sim.Observer{obs}},
+		Run:        core.Options{Observers: []sim.Observer{obs}},
 	})
 	defer p.Close()
 
@@ -326,21 +325,20 @@ func TestCacheRootIsolation(t *testing.T) {
 }
 
 // TestOptionsFingerprintIsolation: every run option that can shift a bit of
-// the observable outcome must shift the fingerprint — worker count and
-// policy included (results are invariant, telemetry is not).
+// the observable outcome must shift the fingerprint, and the ignored
+// Workers field must not.
 func TestOptionsFingerprintIsolation(t *testing.T) {
-	base := core.Options{Workers: 1, MaxTicks: 1000}
+	base := core.Options{MaxTicks: 1000}
 	variants := map[string]core.Options{
 		"base":     base,
-		"maxticks": {Workers: 1, MaxTicks: 2000},
-		"validate": {Workers: 1, MaxTicks: 1000, Validate: true},
-		"workers":  {Workers: 4, MaxTicks: 1000},
-		"config":   {Workers: 1, MaxTicks: 1000, Config: &gtd.Config{SnakeDelay: 3}},
-		"faults": {Workers: 1, MaxTicks: 1000,
+		"maxticks": {MaxTicks: 2000},
+		"validate": {MaxTicks: 1000, Validate: true},
+		"config":   {MaxTicks: 1000, Config: &gtd.Config{SnakeDelay: 3}},
+		"faults": {MaxTicks: 1000,
 			Faults: &sim.FaultPlan{Seed: 7, DropRate: 0.01}},
-		"faults-seed": {Workers: 1, MaxTicks: 1000,
+		"faults-seed": {MaxTicks: 1000,
 			Faults: &sim.FaultPlan{Seed: 8, DropRate: 0.01}},
-		"crash": {Workers: 1, MaxTicks: 1000,
+		"crash": {MaxTicks: 1000,
 			Faults: &sim.FaultPlan{Seed: 7, DropRate: 0.01,
 				Crashes: []sim.Crash{{Node: 3, Tick: 10}}}},
 	}
@@ -354,6 +352,11 @@ func TestOptionsFingerprintIsolation(t *testing.T) {
 	}
 	if optionsFingerprint(base) != optionsFingerprint(base) {
 		t.Fatal("fingerprint must be deterministic")
+	}
+	//lint:ignore SA1019 this pins the deprecated field's one remaining contract
+	one, four := core.Options{Workers: 1, MaxTicks: 1000}, core.Options{Workers: 4, MaxTicks: 1000}
+	if optionsFingerprint(one) != optionsFingerprint(four) || optionsFingerprint(one) != optionsFingerprint(base) {
+		t.Fatal("the ignored Workers field must not split the cache")
 	}
 }
 
@@ -410,7 +413,6 @@ func TestCacheEviction(t *testing.T) {
 		QueueDepth:  16,
 		CacheBytes:  8192,
 		CacheShards: 1,
-		Run:         core.Options{Workers: 1},
 	})
 	defer p.Close()
 	graphs := []*graph.Graph{
@@ -555,7 +557,7 @@ func TestLookupFastPath(t *testing.T) {
 	}
 
 	// Lookup on a cache-less pool is a cheap constant nil.
-	bare := New(Options{Size: 1, Run: core.Options{Workers: 1}})
+	bare := New(Options{Size: 1})
 	defer bare.Close()
 	if bare.Lookup(g, 0) != nil {
 		t.Fatal("cache-less pool must always miss")

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"topomap/internal/cache"
-	"topomap/internal/core"
 	"topomap/internal/graph"
 	"topomap/internal/remap"
 )
@@ -175,7 +174,7 @@ func TestPoolRemapFallback(t *testing.T) {
 // TestPoolRemapErrors: unknown bases, cache-less pools, and model-breaking
 // deltas are clean failures with the right counters.
 func TestPoolRemapErrors(t *testing.T) {
-	bare := New(Options{Size: 1, Run: core.Options{Workers: 1}})
+	bare := New(Options{Size: 1})
 	defer bare.Close()
 	d := new(graph.Delta).Insert(1, 2, 0, 2)
 	if _, err := bare.Remap(context.Background(), graph.Digest{}, d, remap.Options{}); !errors.Is(err, ErrNoCache) {
@@ -343,7 +342,6 @@ func TestCacheStatsConcurrentLookupEviction(t *testing.T) {
 		// and store nothing).
 		CacheBytes:  5 << 10,
 		CacheShards: 1,
-		Run:         core.Options{Workers: 1},
 	})
 	defer p.Close()
 	ctx := context.Background()

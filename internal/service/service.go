@@ -571,10 +571,8 @@ func (p *Pool) Close() error {
 func (p *Pool) worker() {
 	defer p.workers.Done()
 	s := core.NewSession(p.opts.Run)
-	defer func() { s.Close() }()
 	for j := range p.queue {
 		if !p.serve(s, j) {
-			s.Close()
 			s = core.NewSession(p.opts.Run)
 		}
 	}

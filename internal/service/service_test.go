@@ -39,13 +39,13 @@ func TestPoolMatchesDirectRun(t *testing.T) {
 	want := make([]*core.RunResult, len(graphs))
 	for i, g := range graphs {
 		var err error
-		want[i], err = core.Run(g, core.Options{Workers: 1})
+		want[i], err = core.Run(g, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, size := range []int{1, 2, 4} {
-		p := New(Options{Size: size, QueueDepth: len(graphs), Run: core.Options{Workers: 1}})
+		p := New(Options{Size: size, QueueDepth: len(graphs)})
 		jobs := make([]*Job, len(graphs))
 		for i, g := range graphs {
 			var err error
@@ -87,7 +87,7 @@ func TestPoolMatchesDirectRun(t *testing.T) {
 // TestPoolRootOverride: JobOptions.Root must override the pool's configured
 // root for that job only.
 func TestPoolRootOverride(t *testing.T) {
-	p := New(Options{Size: 1, Run: core.Options{Workers: 1}})
+	p := New(Options{Size: 1})
 	defer p.Close()
 	g := graph.Ring(9)
 	root := 4
@@ -119,7 +119,7 @@ func TestPoolRootOverride(t *testing.T) {
 // TestPoolBackpressureReject: with no waiting room and one busy session, a
 // second submit is rejected with ErrQueueFull and counted.
 func TestPoolBackpressureReject(t *testing.T) {
-	p := New(Options{Size: 1, QueueDepth: -1, Run: core.Options{Workers: 1}})
+	p := New(Options{Size: 1, QueueDepth: -1})
 	defer p.Close()
 	// The first submit hands the job straight to the idle worker (the
 	// queue is unbuffered), which claims and runs it. The worker goroutine
@@ -155,7 +155,7 @@ func TestPoolBackpressureReject(t *testing.T) {
 // queue waits for space instead of rejecting, and aborts when its context
 // dies.
 func TestPoolBackpressureBlock(t *testing.T) {
-	p := New(Options{Size: 1, QueueDepth: -1, Block: true, Run: core.Options{Workers: 1}})
+	p := New(Options{Size: 1, QueueDepth: -1, Block: true})
 	defer p.Close()
 	first, err := p.Submit(context.Background(), graph.Ring(64), JobOptions{})
 	if err != nil {
@@ -190,7 +190,7 @@ func TestPoolBackpressureBlock(t *testing.T) {
 
 // TestPoolFIFO: a single-session pool serves jobs in submission order.
 func TestPoolFIFO(t *testing.T) {
-	p := New(Options{Size: 1, QueueDepth: 16, Run: core.Options{Workers: 1}})
+	p := New(Options{Size: 1, QueueDepth: 16})
 	defer p.Close()
 	var order []int
 	var mu sync.Mutex
@@ -230,7 +230,7 @@ func TestPoolFIFO(t *testing.T) {
 // increasing ticks at the requested granularity, and a final snapshot
 // consistent with the run's statistics.
 func TestPoolProgressEvents(t *testing.T) {
-	p := New(Options{Size: 1, Run: core.Options{Workers: 1}})
+	p := New(Options{Size: 1})
 	defer p.Close()
 	var events []Progress
 	j, err := p.Submit(context.Background(), graph.Ring(32), JobOptions{
@@ -280,7 +280,7 @@ func TestPoolProgressEvents(t *testing.T) {
 // TestPoolCancelQueued: cancelling a queued job finishes it immediately with
 // its context error; the worker later skips the corpse.
 func TestPoolCancelQueued(t *testing.T) {
-	p := New(Options{Size: 1, QueueDepth: 4, Run: core.Options{Workers: 1}})
+	p := New(Options{Size: 1, QueueDepth: 4})
 	defer p.Close()
 	slow, err := p.Submit(context.Background(), graph.Ring(128), JobOptions{})
 	if err != nil {
@@ -315,7 +315,7 @@ func TestPoolCancelQueued(t *testing.T) {
 // TestPoolCancelRunning: cancelling a running job aborts the engine between
 // clock ticks; the session stays healthy for the next job.
 func TestPoolCancelRunning(t *testing.T) {
-	p := New(Options{Size: 1, Run: core.Options{Workers: 1}})
+	p := New(Options{Size: 1})
 	defer p.Close()
 	var once sync.Once
 	started := make(chan struct{})
@@ -353,7 +353,7 @@ func TestPoolCancelRunning(t *testing.T) {
 // TestPoolDeadlines: a job deadline bounds queue wait + run, for both a job
 // that expires while queued and one aborted mid-run.
 func TestPoolDeadlines(t *testing.T) {
-	p := New(Options{Size: 1, QueueDepth: 4, Run: core.Options{Workers: 1}})
+	p := New(Options{Size: 1, QueueDepth: 4})
 	defer p.Close()
 
 	// Mid-run: the deadline fires during the run, which aborts.
@@ -390,7 +390,7 @@ func TestPoolDeadlines(t *testing.T) {
 // TestPoolDefaultDeadline: Options.DefaultDeadline applies when the job does
 // not override it, and a negative job deadline opts out.
 func TestPoolDefaultDeadline(t *testing.T) {
-	p := New(Options{Size: 1, DefaultDeadline: 40 * time.Millisecond, Run: core.Options{Workers: 1}})
+	p := New(Options{Size: 1, DefaultDeadline: 40 * time.Millisecond})
 	defer p.Close()
 	j, err := p.Submit(context.Background(), graph.Ring(256), JobOptions{})
 	if err != nil {
@@ -411,7 +411,7 @@ func TestPoolDefaultDeadline(t *testing.T) {
 // TestPoolCloseIdempotent covers the shutdown satellite: double Close,
 // Close-after-Drain, and post-Close Submit.
 func TestPoolCloseIdempotent(t *testing.T) {
-	p := New(Options{Size: 2, Run: core.Options{Workers: 1}})
+	p := New(Options{Size: 2})
 	j, err := p.Submit(context.Background(), graph.Ring(16), JobOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -439,7 +439,7 @@ func TestPoolCloseIdempotent(t *testing.T) {
 // TestPoolDrainServesQueue: Drain serves every accepted job before releasing
 // the sessions, and rejects new intake immediately.
 func TestPoolDrainServesQueue(t *testing.T) {
-	p := New(Options{Size: 2, QueueDepth: 16, Run: core.Options{Workers: 1}})
+	p := New(Options{Size: 2, QueueDepth: 16})
 	jobs := make([]*Job, 8)
 	for i := range jobs {
 		var err error
@@ -471,7 +471,7 @@ func TestPoolDrainServesQueue(t *testing.T) {
 // TestPoolDrainDeadline: a drain whose context dies cancels the remaining
 // jobs and still stops the pool completely.
 func TestPoolDrainDeadline(t *testing.T) {
-	p := New(Options{Size: 1, QueueDepth: 16, Run: core.Options{Workers: 1}})
+	p := New(Options{Size: 1, QueueDepth: 16})
 	jobs := make([]*Job, 4)
 	for i := range jobs {
 		var err error
@@ -503,7 +503,7 @@ func TestPoolPanicRecovery(t *testing.T) {
 			panic("test bomb")
 		}
 	})
-	p := New(Options{Size: 1, Run: core.Options{Workers: 1, Observers: []sim.Observer{obs}}})
+	p := New(Options{Size: 1, Run: core.Options{Observers: []sim.Observer{obs}}})
 	defer p.Close()
 
 	bomb.Store(true)
@@ -536,7 +536,7 @@ func TestPoolPanicRecovery(t *testing.T) {
 
 // TestPoolNilGraph: a nil graph is rejected at submit time.
 func TestPoolNilGraph(t *testing.T) {
-	p := New(Options{Size: 1, Run: core.Options{Workers: 1}})
+	p := New(Options{Size: 1})
 	defer p.Close()
 	if _, err := p.Submit(context.Background(), nil, JobOptions{}); err == nil {
 		t.Fatal("nil graph must be rejected")
@@ -546,7 +546,7 @@ func TestPoolNilGraph(t *testing.T) {
 // TestPoolStatsLatencies: served runs accumulate queue-wait and run-time
 // means, and the allocation rate collapses once the pool is warm.
 func TestPoolStatsLatencies(t *testing.T) {
-	p := New(Options{Size: 1, QueueDepth: 16, Run: core.Options{Workers: 1}})
+	p := New(Options{Size: 1, QueueDepth: 16})
 	defer p.Close()
 	const n = 6
 	jobs := make([]*Job, n)

@@ -21,7 +21,6 @@ func benchTickRing1024(b *testing.B, naive bool) {
 	eng := sim.New(g, sim.Options{
 		MaxTicks: 1 << 30, // far beyond any b.N; the run never finishes here
 		Naive:    naive,
-		Workers:  1,
 	}, gtd.NewFactory(gtd.DefaultConfig()))
 	// Warm past the first RCA's full-ring flood so b.N ticks measure the
 	// steady state rather than the atypically hot opening phase.

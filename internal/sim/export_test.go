@@ -9,7 +9,3 @@ func (e *Engine) SetEpochLimitForTest(limit uint32) {
 	}
 	e.epochLimit = limit
 }
-
-// ParallelCrossover exposes the measured fan-out threshold to the
-// dispatch-rule tests.
-const ParallelCrossover = parallelCrossover

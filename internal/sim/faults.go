@@ -12,11 +12,10 @@ import "math"
 //
 // Fault injection preserves the engine's determinism guarantee in full: a
 // drop decision is a pure hash of (Seed, tick, emitting node, out-port) —
-// never a sequential RNG stream, which the parallel tick would consume in
-// scheduling order — and a crash is a fixed (node, tick) pair. For a given
-// plan, every worker count, dispatch path, and dense/sparse mode yields
-// bit-identical transcripts, statistics (including Stats.Dropped), and
-// failures.
+// never a sequential RNG stream, so no decision depends on the order nodes
+// step in — and a crash is a fixed (node, tick) pair. For a given plan, Run
+// and RunOne, and dense and sparse mode, yield bit-identical transcripts,
+// statistics (including Stats.Dropped), and failures.
 type FaultPlan struct {
 	// Seed parameterises the drop hash; two plans with different seeds
 	// drop different (deterministic) message subsets at the same rate.
@@ -96,8 +95,7 @@ func (e *Engine) crashed(v int) bool {
 
 // dropped decides the fate of the symbol node v emits on out-port p (0-based)
 // this tick: a pure splitmix64-style hash of (seed, tick, v, p), so the
-// decision is identical no matter which worker, shard, or dispatch path
-// performs the emission.
+// decision is identical whichever path performs the emission.
 func (e *Engine) dropped(v, p int) bool {
 	h := uint64(e.faults.Seed)
 	h = mix64(h ^ uint64(e.tick)*0x9e3779b97f4a7c15)

@@ -3,12 +3,14 @@ package sim_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"topomap/internal/graph"
 	"topomap/internal/gtd"
 	"topomap/internal/sim"
+	"topomap/internal/wire"
 )
 
 // denseSparseTranscript runs the full protocol and renders the root
@@ -16,89 +18,61 @@ import (
 // canonical string. StepCalls is deliberately excluded: Naive mode steps
 // every node every tick by definition, so its step count is N·ticks rather
 // than the active count — everything else must be bit-identical.
-func denseSparseTranscript(t *testing.T, g *graph.Graph, naive bool, workers, root, maxTicks int) string {
+func denseSparseTranscript(t *testing.T, g *graph.Graph, naive bool, root, maxTicks int) string {
 	t.Helper()
-	var b strings.Builder
+	var rec transcriptRecorder
+	b := &rec.b
 	eng := sim.New(g, sim.Options{
-		Root:              root,
-		MaxTicks:          maxTicks,
-		Naive:             naive,
-		Workers:           workers,
-		ParallelThreshold: 1,
-		Transcript: func(e sim.TranscriptEntry) {
-			fmt.Fprintf(&b, "%d:", e.Tick)
-			for p, m := range e.In {
-				if !m.IsBlank() {
-					fmt.Fprintf(&b, "i%d=%v;", p, m)
-				}
-			}
-			for p, m := range e.Out {
-				if !m.IsBlank() {
-					fmt.Fprintf(&b, "o%d=%v;", p, m)
-				}
-			}
-			b.WriteByte('\n')
-		},
+		Root:       root,
+		MaxTicks:   maxTicks,
+		Naive:      naive,
+		Transcript: rec.record,
 	}, gtd.NewFactory(gtd.DefaultConfig()))
 	stats, err := eng.Run()
-	fmt.Fprintf(&b, "stats: ticks=%d msgs=%d maxactive=%d\n",
+	fmt.Fprintf(b, "stats: ticks=%d msgs=%d maxactive=%d\n",
 		stats.Ticks, stats.NonBlankMessages, stats.MaxActive)
-	fmt.Fprintf(&b, "err: %v\n", err)
+	fmt.Fprintf(b, "err: %v\n", err)
 	return b.String()
 }
 
 // TestDenseSparseEquivalence is the frontier scheduler's core contract: for
-// every graph family and worker count, sparse scheduling must produce
-// transcripts, reconstructive statistics, and termination behaviour
-// bit-identical to the dense Naive reference.
+// every graph family, sparse scheduling must produce transcripts,
+// reconstructive statistics, and termination behaviour bit-identical to the
+// dense Naive reference.
 func TestDenseSparseEquivalence(t *testing.T) {
 	for name, g := range equivalenceGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			want := denseSparseTranscript(t, g, true, 1, 0, 8_000_000)
-			for _, workers := range []int{1, 2, 4, 8} {
-				if got := denseSparseTranscript(t, g, false, workers, 0, 8_000_000); got != want {
-					t.Fatalf("sparse workers=%d diverges from dense:\ndense:\n%s\nsparse:\n%s",
-						workers, want, got)
-				}
-				if got := denseSparseTranscript(t, g, true, workers, 0, 8_000_000); got != want {
-					t.Fatalf("dense workers=%d diverges from dense workers=1", workers)
-				}
+			want := denseSparseTranscript(t, g, true, 0, 8_000_000)
+			if got := denseSparseTranscript(t, g, false, 0, 8_000_000); got != want {
+				t.Fatalf("sparse diverges from dense:\ndense:\n%s\nsparse:\n%s", want, got)
 			}
 		})
 	}
 }
 
 // TestDenseSparseRootSweep re-asserts the equivalence for every root choice
-// of one graph (the root's shard placement and transcript capture move with
-// the root).
+// of one graph (the root's transcript capture moves with the root).
 func TestDenseSparseRootSweep(t *testing.T) {
 	g := graph.Torus(3, 4)
 	for root := 0; root < g.N(); root++ {
-		want := denseSparseTranscript(t, g, true, 1, root, 8_000_000)
-		for _, workers := range []int{1, 4} {
-			if got := denseSparseTranscript(t, g, false, workers, root, 8_000_000); got != want {
-				t.Fatalf("root=%d workers=%d: sparse diverges from dense", root, workers)
-			}
+		want := denseSparseTranscript(t, g, true, root, 8_000_000)
+		if got := denseSparseTranscript(t, g, false, root, 8_000_000); got != want {
+			t.Fatalf("root=%d: sparse diverges from dense", root)
 		}
 	}
 }
 
 // TestDenseSparseFailureEquivalence: a run that exhausts its tick budget
 // must fail identically — same error, same tick, same mode-invariant stats
-// — under dense and sparse scheduling at every worker count.
+// — under dense and sparse scheduling.
 func TestDenseSparseFailureEquivalence(t *testing.T) {
 	g := graph.Torus(4, 4)
-	want := denseSparseTranscript(t, g, true, 1, 0, 40)
+	want := denseSparseTranscript(t, g, true, 0, 40)
 	if !strings.Contains(want, "err: sim: maximum tick count exceeded") {
 		t.Fatalf("reference run should fail on the budget:\n%s", want)
 	}
-	for _, naive := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			if got := denseSparseTranscript(t, g, naive, workers, 0, 40); got != want {
-				t.Fatalf("naive=%v workers=%d: failure diverges\nwant:\n%s\ngot:\n%s",
-					naive, workers, want, got)
-			}
-		}
+	if got := denseSparseTranscript(t, g, false, 0, 40); got != want {
+		t.Fatalf("sparse failure diverges\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 
@@ -106,51 +80,37 @@ func TestDenseSparseFailureEquivalence(t *testing.T) {
 // canonical string additionally pins the deterministic drop count, so every
 // mode must lose the same symbols at the same ticks. Faults can drive the
 // protocol automata into states they consider impossible, which panics; the
-// engine re-raises such panics deterministically (lowest active node, same
-// tick), so the panic payload is folded into the canonical string too.
-func faultTranscript(t *testing.T, g *graph.Graph, plan *sim.FaultPlan, naive bool, workers, maxTicks int) (out string) {
+// panic is deterministic (lowest active node, same tick), so its payload is
+// folded into the canonical string too.
+func faultTranscript(t *testing.T, g *graph.Graph, plan *sim.FaultPlan, naive bool, maxTicks int) (out string) {
 	t.Helper()
-	var b strings.Builder
+	var rec transcriptRecorder
+	b := &rec.b
 	defer func() {
 		if r := recover(); r != nil {
-			fmt.Fprintf(&b, "panic: %v\n", r)
+			fmt.Fprintf(b, "panic: %v\n", r)
 			out = b.String()
 		}
 	}()
 	eng := sim.New(g, sim.Options{
-		MaxTicks:          maxTicks,
-		Naive:             naive,
-		Workers:           workers,
-		ParallelThreshold: 1,
-		Faults:            plan,
-		Transcript: func(e sim.TranscriptEntry) {
-			fmt.Fprintf(&b, "%d:", e.Tick)
-			for p, m := range e.In {
-				if !m.IsBlank() {
-					fmt.Fprintf(&b, "i%d=%v;", p, m)
-				}
-			}
-			for p, m := range e.Out {
-				if !m.IsBlank() {
-					fmt.Fprintf(&b, "o%d=%v;", p, m)
-				}
-			}
-			b.WriteByte('\n')
-		},
+		MaxTicks:   maxTicks,
+		Naive:      naive,
+		Faults:     plan,
+		Transcript: rec.record,
 	}, gtd.NewFactory(gtd.DefaultConfig()))
 	stats, err := eng.Run()
-	fmt.Fprintf(&b, "stats: ticks=%d msgs=%d maxactive=%d dropped=%d\n",
+	fmt.Fprintf(b, "stats: ticks=%d msgs=%d maxactive=%d dropped=%d\n",
 		stats.Ticks, stats.NonBlankMessages, stats.MaxActive, stats.Dropped)
-	fmt.Fprintf(&b, "err: %v\n", err)
+	fmt.Fprintf(b, "err: %v\n", err)
 	return b.String()
 }
 
 // TestDenseSparseFaultEquivalence extends the scheduler contract to faulted
 // runs on the irregular families: with message loss and fail-stop crashes
 // injected, the transcript, the drop count, and the failure outcome must
-// stay bit-identical between dense and sparse scheduling at every worker
-// count — a crashed node's stale wheel wake must not produce extra idle
-// ticks in sparse mode, and drop decisions must not depend on sharding.
+// stay bit-identical between dense and sparse scheduling — a crashed node's
+// stale wheel wake must not produce extra idle ticks in sparse mode, and
+// drop decisions must not depend on which nodes a tick steps.
 func TestDenseSparseFaultEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
@@ -166,25 +126,77 @@ func TestDenseSparseFaultEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := faultTranscript(t, tc.g, tc.plan, true, 1, 40_000)
-			for _, naive := range []bool{false, true} {
-				for _, workers := range []int{1, 2, 4, 8} {
-					if got := faultTranscript(t, tc.g, tc.plan, naive, workers, 40_000); got != want {
-						t.Fatalf("naive=%v workers=%d: faulted run diverges\nwant:\n%s\ngot:\n%s",
-							naive, workers, want, got)
-					}
-				}
+			want := faultTranscript(t, tc.g, tc.plan, true, 40_000)
+			if got := faultTranscript(t, tc.g, tc.plan, false, 40_000); got != want {
+				t.Fatalf("sparse faulted run diverges\nwant:\n%s\ngot:\n%s", want, got)
 			}
 		})
 	}
 }
 
+// TestParallelNaiveMatchesTracked pins the dense reference at its worst
+// case: in Naive mode every processor steps every tick, and the run must
+// still end on the same tick with the same message count as sparse
+// scheduling. (The name dates from the worker pool, whose merge this case
+// once stressed; the check stands on the sequential engine.)
+func TestParallelNaiveMatchesTracked(t *testing.T) {
+	g := graph.Torus(5, 5)
+	run := func(naive bool) (int, int64, int64) {
+		eng := sim.New(g, sim.Options{
+			MaxTicks: 8_000_000,
+			Naive:    naive,
+		}, gtd.NewFactory(gtd.DefaultConfig()))
+		stats, err := eng.Run()
+		if err != nil {
+			t.Fatalf("naive=%v: %v", naive, err)
+		}
+		return stats.Ticks, stats.NonBlankMessages, stats.StepCalls
+	}
+	sparseTicks, sparseMsgs, _ := run(false)
+	ticks, msgs, steps := run(true)
+	if ticks != sparseTicks || msgs != sparseMsgs {
+		t.Fatalf("naive: (%d ticks, %d msgs) vs sparse (%d, %d)", ticks, msgs, sparseTicks, sparseMsgs)
+	}
+	if steps != int64(g.N())*int64(ticks) {
+		t.Fatalf("naive mode must step every node every tick: %d != %d·%d", steps, g.N(), ticks)
+	}
+}
+
+// TestParallelValidatePanicPropagates checks that a panic raised inside a
+// tick (here: the model validator rejecting an oversized message) reaches
+// Run's caller, where harnesses like the speed-ablation experiment recover
+// it, and that the engine leaves no goroutine behind. (The name dates from
+// the worker pool, whose goroutines once had to re-raise the panic.)
+func TestParallelValidatePanicPropagates(t *testing.T) {
+	g := graph.Ring(24)
+	factory := func(info sim.NodeInfo) sim.Automaton {
+		return &floodNode{info: info, kick: info.Root}
+	}
+	before := runtime.NumGoroutine()
+	func() {
+		eng := sim.New(g, sim.Options{
+			MaxTicks:          1000,
+			Validate:          true,
+			StopWhenQuiescent: true,
+		}, factory)
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected the validator panic to reach the caller")
+			}
+		}()
+		_, _ = eng.Run()
+	}()
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("goroutines left behind after the panic: %d before, %d after", before, got)
+	}
+}
+
 // TestDenseSparsePanicEquivalence: a model-validation panic must carry the
-// same payload (lowest active node, same tick) whichever scheduler and
-// worker count produced it.
+// same payload (lowest active node, same tick) whichever scheduler produced
+// it.
 func TestDenseSparsePanicEquivalence(t *testing.T) {
 	g := graph.Ring(24)
-	run := func(naive bool, workers int) (msg string) {
+	run := func(naive bool) (msg string) {
 		factory := func(info sim.NodeInfo) sim.Automaton {
 			return &floodNode{info: info, kick: info.Root}
 		}
@@ -192,8 +204,6 @@ func TestDenseSparsePanicEquivalence(t *testing.T) {
 			MaxTicks:          1000,
 			Validate:          true,
 			Naive:             naive,
-			Workers:           workers,
-			ParallelThreshold: 1,
 			StopWhenQuiescent: true,
 		}, factory)
 		defer func() {
@@ -204,14 +214,37 @@ func TestDenseSparsePanicEquivalence(t *testing.T) {
 		_, _ = eng.Run()
 		return "no panic"
 	}
-	want := run(true, 1)
+	want := run(true)
 	if !strings.Contains(want, "sim: node") {
 		t.Fatalf("reference run should panic on validation: %q", want)
 	}
-	for _, naive := range []bool{false, true} {
-		for _, workers := range []int{1, 4} {
-			if got := run(naive, workers); got != want {
-				t.Fatalf("naive=%v workers=%d: panic diverges: %q vs %q", naive, workers, got, want)
+	if got := run(false); got != want {
+		t.Fatalf("sparse panic diverges: %q vs %q", got, want)
+	}
+}
+
+// floodNode keeps every wire busy with an invalid symbol (an out-of-range
+// snake port) so the validator must fire.
+type floodNode struct {
+	info sim.NodeInfo
+	kick bool
+	seen bool
+}
+
+func (f *floodNode) Busy() bool { return f.kick || f.seen }
+
+func (f *floodNode) Step(io *sim.Ports) {
+	for p := 1; p <= f.info.Delta; p++ {
+		if io.InMask(p) != 0 {
+			f.seen = true
+		}
+	}
+	if f.kick || f.seen {
+		f.kick = false
+		for p := 1; p <= f.info.Delta; p++ {
+			if f.info.OutWired(p) {
+				// Deliberately malformed ports (31 > δ) to trip -validate.
+				io.SetGrow(p, 0, wire.PackGrowChar(wire.GrowChar{Kind: wire.KindIG, Out: 31, In: 31}))
 			}
 		}
 	}
@@ -221,8 +254,8 @@ func TestDenseSparsePanicEquivalence(t *testing.T) {
 // into the initial frontier; the run must still complete exactly.
 func TestFrontierRootOnly(t *testing.T) {
 	g := graph.TwoCycle()
-	want := denseSparseTranscript(t, g, true, 1, 0, 1_000_000)
-	got := denseSparseTranscript(t, g, false, 1, 0, 1_000_000)
+	want := denseSparseTranscript(t, g, true, 0, 1_000_000)
+	got := denseSparseTranscript(t, g, false, 0, 1_000_000)
 	if got != want {
 		t.Fatalf("TwoCycle: sparse diverges from dense:\n%s\nvs\n%s", got, want)
 	}
@@ -450,10 +483,7 @@ func TestFrontierResetReuseAfterAbort(t *testing.T) {
 	armed := false
 	var rec transcriptRecorder
 	eng := sim.New(big, sim.Options{
-		Workers:           2,
-		ParallelThreshold: 1,
-		RetainPool:        true,
-		Transcript:        rec.record,
+		Transcript: rec.record,
 		Cancel: func() error {
 			if armed {
 				return stop
@@ -461,7 +491,6 @@ func TestFrontierResetReuseAfterAbort(t *testing.T) {
 			return nil
 		},
 	}, gtd.NewFactory(gtd.DefaultConfig()))
-	defer eng.Close()
 	for i := 0; i < 300; i++ {
 		if _, err := eng.RunOne(); err != nil {
 			t.Fatal(err)
@@ -474,7 +503,7 @@ func TestFrontierResetReuseAfterAbort(t *testing.T) {
 	armed = false
 	rec.b.Reset()
 
-	want := runTranscript(t, small, 2)
+	want := runTranscript(t, small)
 	eng.Reset(small)
 	if got := rec.finish(t, eng); got != want {
 		t.Fatalf("reuse after mid-flood abort diverges from fresh:\nfresh:\n%s\nreused:\n%s", want, got)
@@ -487,7 +516,7 @@ func TestFrontierResetReuseAfterAbort(t *testing.T) {
 // be at least 10× below the dense sweep's N iterations per tick.
 func TestFrontierSparseIterationsRing1024(t *testing.T) {
 	g := graph.Ring(1024)
-	eng := sim.New(g, sim.Options{MaxTicks: 200_000, Workers: 1}, gtd.NewFactory(gtd.DefaultConfig()))
+	eng := sim.New(g, sim.Options{MaxTicks: 200_000}, gtd.NewFactory(gtd.DefaultConfig()))
 	_, err := eng.Run()
 	if !errors.Is(err, sim.ErrMaxTicks) {
 		t.Fatalf("window run should end on the tick budget, got %v", err)

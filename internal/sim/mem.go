@@ -13,8 +13,8 @@ type MemInfo struct {
 	// StampBytes covers the five epoch-stamp planes.
 	StampBytes int64
 	// SchedBytes covers the scheduler state: frontier buffers, timing
-	// wheel, holder cache, automaton table, and the shard buffers with
-	// their δ-slot out planes.
+	// wheel, holder cache, automaton table, and the step context's δ-slot
+	// out plane.
 	SchedBytes int64
 	// TotalBytes is the sum of the above. It excludes the automata
 	// themselves (owned by the factory; see gtd.Arena.FootprintBytes)
@@ -43,13 +43,7 @@ func (e *Engine) Mem() MemInfo {
 	m.SchedBytes += int64(cap(e.holderBits)) * 8
 	m.SchedBytes += int64(cap(e.procs)) * 2 * ptrSize
 	m.SchedBytes += int64(cap(e.crashAt)) * ptrSize
-	shardBytes := func(sh *shard) int64 {
-		return int64(cap(sh.next))*4 + int64(cap(sh.wakes))*5 + sh.io.out.bytes()
-	}
-	m.SchedBytes += shardBytes(&e.seqSh)
-	for i := range e.shards {
-		m.SchedBytes += shardBytes(&e.shards[i])
-	}
+	m.SchedBytes += e.io.out.bytes()
 
 	m.TotalBytes = m.WireBytes + m.StampBytes + m.SchedBytes
 	if n := e.g.N(); n > 0 {

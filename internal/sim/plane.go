@@ -89,8 +89,8 @@ func (pl *wirePlane) copySlot(i int, src *wirePlane, j int) {
 
 // Ports is one processor's view of its wires for the tick in flight. The in
 // side reads the node's δ slots of the tick-t plane in place; the out side
-// writes a δ-slot plane owned by the stepping shard, which the engine routes
-// into the tick-t+1 plane after Step returns. Words use the packed layout of
+// writes a δ-slot plane the engine routes into the tick-t+1 plane after
+// Step returns. Words use the packed layout of
 // wire/plane.go; channel k of a family is the dense kind index. Ports are
 // 1-based, and a word is meaningful only under its mask bit.
 type Ports struct {

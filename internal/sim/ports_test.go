@@ -186,24 +186,21 @@ func TestPortsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMemChargesPackedOutPlanes pins Mem's shard term: every shard owns one
-// δ-slot out plane, charged at the planes' 17 packed bytes per slot (2 mask
-// + 6 grow + 6 die + 2 loop + 1 dfs). Before any run the per-shard
-// frontier buffers are empty, so the four worker shards a Workers: 4 engine
-// adds beside the sequential one cost exactly four out planes.
+// TestMemChargesPackedOutPlanes pins Mem's step-context term: the engine's
+// one δ-slot out plane is charged at the planes' 17 packed bytes per slot
+// (2 mask + 6 grow + 6 die + 2 loop + 1 dfs), like both wire-plane sides.
+// Before any run the frontier and wheel buffers are empty, so a fresh
+// engine's scheduler bytes are exactly the holder bitmap, the automaton
+// table (two words per interface), and that out plane.
 func TestMemChargesPackedOutPlanes(t *testing.T) {
 	g := graph.Hypercube(4) // δ = 4
-	mem := func(workers int) sim.MemInfo {
-		e := sim.New(g, sim.Options{Workers: workers}, func(sim.NodeInfo) sim.Automaton { return &sinkNode{} })
-		defer e.Close()
-		return e.Mem()
+	n, delta := g.N(), g.Delta()
+	m := sim.New(g, sim.Options{}, func(sim.NodeInfo) sim.Automaton { return &sinkNode{} }).Mem()
+	if want := int64((n+63)/64*8 + n*16 + 17*delta); m.SchedBytes != want {
+		t.Fatalf("scheduler bytes %d, want %d (holder bitmap + automaton table + one out plane of δ=%d slots)",
+			m.SchedBytes, want, delta)
 	}
-	one, four := mem(1), mem(4)
-	if got, want := four.SchedBytes-one.SchedBytes, int64(4*17*g.Delta()); got != want {
-		t.Fatalf("four shards charge %d bytes over the sequential shard, want %d (4 out planes of δ=%d slots)",
-			got, want, g.Delta())
-	}
-	if four.WireBytes != one.WireBytes {
-		t.Fatalf("wire planes moved with the worker count: %d vs %d", four.WireBytes, one.WireBytes)
+	if want := int64(2*17*n*delta + 4*n*delta); m.WireBytes != want {
+		t.Fatalf("wire bytes %d, want %d (two planes of 17 bytes per slot + the routing table)", m.WireBytes, want)
 	}
 }

@@ -3,10 +3,8 @@ package sim_test
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"topomap/internal/graph"
 	"topomap/internal/gtd"
@@ -14,8 +12,8 @@ import (
 )
 
 // transcriptRecorder renders root transcript entries and final statistics
-// into the same canonical form as runTranscript, but is retargetable so one
-// engine can record several runs (Reset reuse).
+// into a canonical string, and is retargetable so one engine can record
+// several runs (Reset reuse).
 type transcriptRecorder struct {
 	b strings.Builder
 }
@@ -49,50 +47,64 @@ func (r *transcriptRecorder) finish(t *testing.T, eng *sim.Engine) string {
 }
 
 // newRecordedEngine builds an engine whose transcript feeds rec, configured
-// like the equivalence corpus runs (forced parallel dispatch, retained
-// pool so Reset reuse also reuses the workers).
-func newRecordedEngine(g *graph.Graph, workers int, rec *transcriptRecorder) *sim.Engine {
-	return sim.New(g, sim.Options{
-		MaxTicks:          8_000_000,
-		Workers:           workers,
-		ParallelThreshold: 1,
-		RetainPool:        true,
-		Transcript:        rec.record,
-	}, gtd.NewFactory(gtd.DefaultConfig()))
+// like the equivalence corpus runs.
+func newRecordedEngine(g *graph.Graph, rec *transcriptRecorder) *sim.Engine {
+	return sim.New(g, sim.Options{MaxTicks: 8_000_000, Transcript: rec.record}, gtd.NewFactory(gtd.DefaultConfig()))
+}
+
+// runTranscript executes the full protocol on a fresh engine and renders
+// every root transcript entry plus the final statistics into a canonical
+// string.
+func runTranscript(t *testing.T, g *graph.Graph) string {
+	t.Helper()
+	var rec transcriptRecorder
+	return rec.finish(t, newRecordedEngine(g, &rec))
+}
+
+// equivalenceGraphs is the cross-family corpus the equivalence tests run
+// the full GTD protocol on.
+func equivalenceGraphs(t *testing.T) map[string]*graph.Graph {
+	t.Helper()
+	gs := map[string]*graph.Graph{
+		"ring12":    graph.Ring(12),
+		"biring9":   graph.BiRing(9),
+		"torus4x5":  graph.Torus(4, 5),
+		"kautz2.2":  graph.Kautz(2, 2),
+		"kautz3.2":  graph.Kautz(3, 2),
+		"hypercube": graph.Hypercube(4),
+		"random24":  graph.Random(24, 3, 52, 7),
+		"random40":  graph.Random(40, 4, 100, 11),
+	}
+	gs["treeloop"] = graph.TreeLoop(3, graph.RandomPermutation(8, 5))
+	// Irregular families: skewed degrees and diameters stress scheduling
+	// paths the regular families never reach (saturated hubs, deep stubs).
+	gs["er20"] = graph.ErdosRenyi(20, 5, 0.15, 7)
+	gs["ba20"] = graph.BarabasiAlbert(20, 2, 5, 9)
+	gs["astier24"] = graph.ASTiers(24, 6, 3)
+	gs["chordal16"] = graph.ChordalRing(16, 3)
+	return gs
 }
 
 // TestResetMatchesFreshTranscripts is the session-reuse face of the
 // determinism contract: an engine reused via Reset — across different graph
 // families and repeated runs of the same graph — must produce transcripts
-// and statistics bit-identical to a fresh engine, at one and several
-// workers.
+// and statistics bit-identical to a fresh engine.
 func TestResetMatchesFreshTranscripts(t *testing.T) {
-	graphs := equivalenceGraphs(t)
-	names := make([]string, 0, len(graphs))
-	for name := range graphs {
-		names = append(names, name)
-	}
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			var rec transcriptRecorder
-			var eng *sim.Engine
-			for _, name := range names {
-				g := graphs[name]
-				want := runTranscript(t, g, workers)
-				for rep := 0; rep < 2; rep++ {
-					if eng == nil {
-						eng = newRecordedEngine(g, workers, &rec)
-					} else {
-						eng.Reset(g)
-					}
-					if got := rec.finish(t, eng); got != want {
-						t.Fatalf("%s rep=%d: reused transcript diverges from fresh\nfresh:\n%s\nreused:\n%s",
-							name, rep, want, got)
-					}
-				}
+	var rec transcriptRecorder
+	var eng *sim.Engine
+	for name, g := range equivalenceGraphs(t) {
+		want := runTranscript(t, g)
+		for rep := 0; rep < 2; rep++ {
+			if eng == nil {
+				eng = newRecordedEngine(g, &rec)
+			} else {
+				eng.Reset(g)
 			}
-			eng.Close()
-		})
+			if got := rec.finish(t, eng); got != want {
+				t.Fatalf("%s rep=%d: reused transcript diverges from fresh\nfresh:\n%s\nreused:\n%s",
+					name, rep, want, got)
+			}
+		}
 	}
 }
 
@@ -101,16 +113,13 @@ func TestResetMatchesFreshTranscripts(t *testing.T) {
 func TestResetRootedMatchesFresh(t *testing.T) {
 	g := graph.Torus(3, 4)
 	var rec transcriptRecorder
-	eng := newRecordedEngine(g, 2, &rec)
-	defer eng.Close()
+	eng := newRecordedEngine(g, &rec)
 	for root := 0; root < g.N(); root++ {
 		var fresh transcriptRecorder
 		fe := sim.New(g, sim.Options{
-			MaxTicks:          8_000_000,
-			Root:              root,
-			Workers:           2,
-			ParallelThreshold: 1,
-			Transcript:        fresh.record,
+			MaxTicks:   8_000_000,
+			Root:       root,
+			Transcript: fresh.record,
 		}, gtd.NewFactory(gtd.DefaultConfig()))
 		want := fresh.finish(t, fe)
 		eng.ResetRooted(g, root)
@@ -129,9 +138,9 @@ func TestResetAcrossSizes(t *testing.T) {
 	var eng *sim.Engine
 	for _, n := range sizes {
 		g := graph.Ring(n)
-		want := runTranscript(t, g, 4)
+		want := runTranscript(t, g)
 		if eng == nil {
-			eng = newRecordedEngine(g, 4, &rec)
+			eng = newRecordedEngine(g, &rec)
 		} else {
 			eng.Reset(g)
 		}
@@ -141,27 +150,25 @@ func TestResetAcrossSizes(t *testing.T) {
 	}
 	// Shrink across a delta change too (ring δ=1... use torus δ=4).
 	g := graph.Torus(4, 5)
-	want := runTranscript(t, g, 4)
+	want := runTranscript(t, g)
 	eng.Reset(g)
 	if got := rec.finish(t, eng); got != want {
 		t.Fatal("torus after rings: reused transcript diverges from fresh")
 	}
-	eng.Close()
 }
 
 // TestResetPlaneLifecycle pins the wire-plane recycling contract across
 // graph-size changes: growing N reallocates the planes (capacity rises to
 // the new footprint), shrinking N or changing δ within the allocated
-// footprint reuses them (capacity must NOT move), and a closed engine's
-// worker pool restarts transparently on the next parallel run. Progress
-// exposes the capacity (PlaneCap) precisely so this is assertable; the
+// footprint reuses them (capacity must NOT move). Progress exposes the
+// capacity (PlaneCap) precisely so this is assertable; the
 // transcripts are checked against fresh engines throughout, so reuse is
 // never traded against equivalence.
 func TestResetPlaneLifecycle(t *testing.T) {
 	var rec transcriptRecorder
 	run := func(eng *sim.Engine, g *graph.Graph) string {
 		t.Helper()
-		want := runTranscript(t, g, 4)
+		want := runTranscript(t, g)
 		if got := rec.finish(t, eng); got != want {
 			t.Fatalf("N=%d δ=%d: reused transcript diverges from fresh", g.N(), g.Delta())
 		}
@@ -169,7 +176,7 @@ func TestResetPlaneLifecycle(t *testing.T) {
 	}
 
 	g := graph.Ring(32) // 32 nodes × δ=2 = 64 port slots
-	eng := newRecordedEngine(g, 4, &rec)
+	eng := newRecordedEngine(g, &rec)
 	run(eng, g)
 	cap0 := eng.Progress().PlaneCap
 	if cap0 < 64 {
@@ -199,13 +206,6 @@ func TestResetPlaneLifecycle(t *testing.T) {
 	if capBig < 384 || capBig < cap0 {
 		t.Fatalf("grow to 384 slots left plane capacity at %d (was %d)", capBig, cap0)
 	}
-
-	// Close parks and releases the worker pool; the next parallel run on a
-	// different size must restart it and still match a fresh engine.
-	eng.Close()
-	eng.Reset(graph.Ring(40))
-	run(eng, graph.Ring(40))
-	eng.Close()
 }
 
 // TestEpochRebaseEquivalence forces the 32-bit epoch planes through many
@@ -222,23 +222,18 @@ func TestEpochRebaseEquivalence(t *testing.T) {
 		graph.Torus(4, 5),
 		graph.Hypercube(4),
 	}
-	for _, workers := range []int{1, 4} {
-		for _, g := range graphs {
-			want := runTranscript(t, g, workers)
-			var rec transcriptRecorder
-			eng := newRecordedEngine(g, workers, &rec)
-			eng.SetEpochLimitForTest(48)
-			if got := rec.finish(t, eng); got != want {
-				t.Errorf("N=%d δ=%d workers=%d: transcript diverges under forced epoch rebases",
-					g.N(), g.Delta(), workers)
-			}
-			// A reused engine keeps rebasing across runs.
-			eng.Reset(g)
-			if got := rec.finish(t, eng); got != want {
-				t.Errorf("N=%d δ=%d workers=%d: reused transcript diverges under forced epoch rebases",
-					g.N(), g.Delta(), workers)
-			}
-			eng.Close()
+	for _, g := range graphs {
+		want := runTranscript(t, g)
+		var rec transcriptRecorder
+		eng := newRecordedEngine(g, &rec)
+		eng.SetEpochLimitForTest(48)
+		if got := rec.finish(t, eng); got != want {
+			t.Errorf("N=%d δ=%d: transcript diverges under forced epoch rebases", g.N(), g.Delta())
+		}
+		// A reused engine keeps rebasing across runs.
+		eng.Reset(g)
+		if got := rec.finish(t, eng); got != want {
+			t.Errorf("N=%d δ=%d: reused transcript diverges under forced epoch rebases", g.N(), g.Delta())
 		}
 	}
 	// Faulted window: drops keyed on the tick counter must be unaffected.
@@ -248,7 +243,6 @@ func TestEpochRebaseEquivalence(t *testing.T) {
 		var rec transcriptRecorder
 		eng := sim.New(g, sim.Options{
 			MaxTicks:   1500,
-			Workers:    2,
 			Faults:     plan,
 			Transcript: rec.record,
 		}, gtd.NewFactory(gtd.DefaultConfig()))
@@ -274,13 +268,9 @@ func TestResetAfterMaxTicksError(t *testing.T) {
 	g := graph.Torus(4, 4)
 	var rec transcriptRecorder
 	eng := sim.New(g, sim.Options{
-		MaxTicks:          25, // protocol cannot finish
-		Workers:           2,
-		ParallelThreshold: 1,
-		RetainPool:        true,
-		Transcript:        rec.record,
+		MaxTicks:   25, // protocol cannot finish
+		Transcript: rec.record,
 	}, gtd.NewFactory(gtd.DefaultConfig()))
-	defer eng.Close()
 	runOnce := func() (string, sim.Stats, error) {
 		stats, err := eng.Run()
 		out := rec.b.String()
@@ -309,11 +299,8 @@ func TestResetCancel(t *testing.T) {
 	var armed bool
 	var rec transcriptRecorder
 	eng := sim.New(g, sim.Options{
-		MaxTicks:          8_000_000,
-		Workers:           2,
-		ParallelThreshold: 1,
-		RetainPool:        true,
-		Transcript:        rec.record,
+		MaxTicks:   8_000_000,
+		Transcript: rec.record,
 		Cancel: func() error {
 			if armed {
 				return stop
@@ -321,7 +308,6 @@ func TestResetCancel(t *testing.T) {
 			return nil
 		},
 	}, gtd.NewFactory(gtd.DefaultConfig()))
-	defer eng.Close()
 	// Let it run a few ticks, then cancel.
 	for i := 0; i < 10; i++ {
 		if _, err := eng.RunOne(); err != nil {
@@ -335,58 +321,9 @@ func TestResetCancel(t *testing.T) {
 	// The engine must be cleanly reusable after cancellation.
 	armed = false
 	rec.b.Reset()
-	want := runTranscript(t, g, 2)
+	want := runTranscript(t, g)
 	eng.Reset(g)
 	if got := rec.finish(t, eng); got != want {
 		t.Fatal("post-cancel reuse diverges from fresh")
-	}
-}
-
-// settledGoroutines waits for the runtime goroutine count to stop falling
-// and returns it: worker pools released by earlier tests in the package
-// exit asynchronously after stopPool closes their start channels, and a
-// baseline sampled while they drain would be inflated.
-func settledGoroutines() int {
-	n := runtime.NumGoroutine()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-		m := runtime.NumGoroutine()
-		if m == n {
-			return n
-		}
-		n = m
-	}
-	return n
-}
-
-// TestRetainPoolLifecycle checks that RetainPool keeps workers parked
-// across runs and that Close (idempotently) releases them.
-func TestRetainPoolLifecycle(t *testing.T) {
-	g := graph.Torus(5, 5)
-	before := settledGoroutines()
-	var rec transcriptRecorder
-	eng := newRecordedEngine(g, 4, &rec)
-	_ = rec.finish(t, eng)
-	if runtime.NumGoroutine() <= before {
-		t.Fatal("retained pool should keep workers parked after the run")
-	}
-	// Reuse must not add workers run over run.
-	during := runtime.NumGoroutine()
-	for i := 0; i < 3; i++ {
-		eng.Reset(g)
-		_ = rec.finish(t, eng)
-	}
-	if got := runtime.NumGoroutine(); got > during {
-		t.Fatalf("pool grew across reuse: %d -> %d goroutines", during, got)
-	}
-	eng.Close()
-	eng.Close() // idempotent
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("Close must release the retained pool: %d before, %d after", before, got)
 	}
 }

@@ -21,30 +21,26 @@
 // mode steps every processor every tick (the dense reference path); the two
 // are tested to produce identical transcripts, statistics, and failures.
 //
-// # Parallel execution, dispatch, and hold timers
+// # One goroutine, bursts, and hold timers
 //
-// Within one tick every processor reads only tick-t symbols and writes only
-// tick-t+1 symbols, and every in-port has exactly one incoming wire, so the
-// ascending frontier splits into contiguous shards stepped by a worker pool
-// with no two writers on one buffer element; the shared delivery and
-// enqueue stamps are compare-and-swap claims whose single winner does the
-// bookkeeping, and shard tallies merge in shard order, so every observable
-// is bit-identical for any Options.Workers. A tick fans out when
-// 1 < Workers ≤ GOMAXPROCS and its frontier holds at least
-// parallelCrossover nodes (measured by E15); every other tick runs in a
-// sequential burst on the calling goroutine. Automata implementing Holder
-// report how long they are dormant; the engine parks them on a timing
-// wheel, replays the skipped aging in bulk, and collapses globally idle
-// ticks into an O(1) clock advance. Stats.SeqTicks/ParTicks/Bursts record
-// what the dispatcher did.
+// The engine steps every tick on the calling goroutine, frontier nodes in
+// ascending index order, so each observable — transcript, statistics,
+// protocol hook order, failure — is a function of the graph, the automata
+// and the options alone. Run executes ticks back to back in one loop
+// (a burst) with no per-tick dispatch; RunOne executes a single tick and
+// shares every line of state evolution with it. Automata implementing
+// Holder report how long they are dormant; the engine parks them on a
+// timing wheel, replays the skipped aging in bulk, and collapses globally
+// idle ticks into an O(1) clock advance. There is no worker pool: the
+// frontier of the benchmark's networks stays far below the width at which
+// sharding a tick across cores paid (DESIGN.md §2.1), and the service
+// layer scales across engines instead, one per mapping session.
 package sim
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync/atomic"
 
 	"topomap/internal/graph"
 	"topomap/internal/wire"
@@ -79,12 +75,11 @@ type Automaton interface {
 	// its Set* methods; the out side starts blank and the view is valid
 	// only during the call. Step must be deterministic.
 	//
-	// When Options.Workers enables the parallel tick, Step may be
-	// invoked concurrently for *different* processors of the same pulse
-	// (never twice for the same processor). Each automaton may freely
-	// mutate its own state; any state shared across automata — such as
-	// instrumentation callbacks reached from Step — must be synchronised
-	// by whoever shares it (gtd.NewFactory serialises protocol hooks).
+	// An engine calls Step on the goroutine that called Run or RunOne,
+	// one processor at a time, in ascending node order within a tick, so
+	// state shared across one engine's automata (such as an
+	// instrumentation callback) needs no synchronisation. Automata shared
+	// across engines that run concurrently must synchronise themselves.
 	Step(io *Ports)
 	// Busy reports whether the processor may change state or emit a
 	// non-blank symbol even if every in-port reads blank. A processor
@@ -128,9 +123,9 @@ type TranscriptEntry struct {
 }
 
 // Observer receives a callback after every tick. Observers fire on every
-// tick boundary regardless of the dispatch path: a sequential burst and
-// the clock-jump over globally idle ticks both invoke AfterTick once per
-// tick, in order, with the engine's Tick and Stats consistent.
+// tick boundary, whether Run or RunOne drives the engine: a burst and the
+// clock-jump over globally idle ticks both invoke AfterTick once per tick,
+// in order, with the engine's Tick and Stats consistent.
 type Observer interface {
 	AfterTick(t int, e *Engine)
 }
@@ -140,14 +135,6 @@ type ObserverFunc func(t int, e *Engine)
 
 // AfterTick implements Observer.
 func (f ObserverFunc) AfterTick(t int, e *Engine) { f(t, e) }
-
-// parallelCrossover is the smallest frontier a tick fans out at (see
-// Options.ParallelThreshold), measured by E15 (DESIGN.md §2.1): at 16, 1024,
-// 4096 and 16384 nodes the pool's per-tick dispatch cost more than the
-// sharded steps saved on some of the benchmark's 16k-node windows, while
-// above 16384 none of them fans out and the Erdős–Rényi 10^5 window keeps
-// its pooled gain.
-const parallelCrossover = 16385
 
 // MaxHold caps the hold a Holder may report: an automaton sleeping longer
 // than this is woken (at most) every MaxHold+1 ticks to re-report. The cap
@@ -221,24 +208,9 @@ type Options struct {
 	// symbols) even if the root has no terminal state. Used by
 	// standalone-primitive demos and tests.
 	StopWhenQuiescent bool
-	// Workers is the number of goroutines that step processors within a
-	// tick. 0 (the default) uses runtime.GOMAXPROCS(0); 1 selects the
-	// sequential path. Any value yields bit-identical transcripts and
-	// statistics. A pool larger than GOMAXPROCS never fans out unless
-	// ParallelThreshold is set: time-slicing one core through channel
-	// hops cannot pay.
-	Workers int
-	// ParallelThreshold is the smallest per-tick work (the frontier
-	// size; all N nodes in Naive mode) that fans a tick out across the
-	// workers. 0 keeps the measured default, parallelCrossover.
-	// Equivalence tests and the E9/E10/E15 sweeps set it explicitly (1
-	// forces every non-empty tick through the parallel path, at any
-	// worker count).
-	ParallelThreshold int
-	// RetainPool keeps the parked worker pool alive when a run finishes
-	// instead of releasing it, so an engine reused via Reset skips the
-	// pool restart on the next run. The owner must call Close when done;
-	// a panic escaping a tick still releases the pool unconditionally.
+	// RetainPool is ignored: the engine has no worker pool to retain.
+	//
+	// Deprecated: kept so existing callers compile; it has no effect.
 	RetainPool bool
 	// Cancel, if non-nil, is polled by Run before every tick; when it
 	// returns a non-nil error the run stops with that error (wrapped).
@@ -247,17 +219,16 @@ type Options struct {
 	Cancel func() error
 	// Faults, if non-nil, injects deterministic message loss and node
 	// crashes (see FaultPlan). The plan is re-armed on every Reset; faults
-	// preserve the determinism guarantee across workers, dispatch paths,
-	// and dense/sparse scheduling.
+	// preserve the determinism guarantee across Run and RunOne and across
+	// dense and sparse scheduling.
 	Faults *FaultPlan
 }
 
 // Stats summarises a run. Ticks, NonBlankMessages, StepCalls, MaxActive, and
 // Dropped are protocol observables covered by the determinism guarantee:
-// identical for every worker count and dispatch path. SeqTicks, ParTicks,
-// and Bursts are dispatch telemetry — they describe how the run was
-// dispatched (and so vary with Workers and ParallelThreshold by design) and
-// are excluded from the equivalence guarantee.
+// identical whether Run or RunOne drives the engine, and under dense or
+// sparse scheduling. SeqTicks, ParTicks, and Bursts are inert telemetry
+// left from the removed worker pool.
 type Stats struct {
 	Ticks            int
 	NonBlankMessages int64 // total non-blank symbols delivered
@@ -265,14 +236,18 @@ type Stats struct {
 	MaxActive        int   // peak simultaneously active processors
 	Dropped          int64 // symbols lost to fault injection (0 without a plan)
 
-	SeqTicks int64 // ticks dispatched on the calling goroutine (incl. idle ticks)
-	ParTicks int64 // ticks fanned out across the worker pool
-	Bursts   int64 // sequential bursts entered by Run
+	// Deprecated: equals Ticks; every tick runs on the calling goroutine.
+	SeqTicks int64
+	// Deprecated: always 0; no tick is fanned out.
+	ParTicks int64
+	// Deprecated: counts calls of Run that found the run unfinished (one
+	// per run); RunOne never counts.
+	Bursts int64
 }
 
-// Observables returns the dispatch-invariant subset of the statistics: the
-// fields the determinism guarantee covers, with the scheduler telemetry
-// zeroed. Equivalence tests compare these.
+// Observables returns s with the inert telemetry fields zeroed.
+//
+// Deprecated: compare the protocol fields directly.
 func (s Stats) Observables() Stats {
 	s.SeqTicks, s.ParTicks, s.Bursts = 0, 0, 0
 	return s
@@ -309,8 +284,8 @@ func (e *Engine) Progress() Progress {
 
 // Engine executes a network of automata in lockstep over a graph. An engine
 // is reusable: Reset re-targets it at a new graph (or the same one) while
-// recycling every node, wire, shard, and frontier buffer, so steady-state
-// reruns allocate nothing in the engine layer.
+// recycling every node, wire, and frontier buffer, so steady-state reruns
+// allocate nothing in the engine layer.
 type Engine struct {
 	g       *graph.Graph
 	opts    Options
@@ -330,8 +305,8 @@ type Engine struct {
 
 	// Wire state, double-buffered and packed (see wirePlane): cur holds
 	// the symbols delivered for the tick in flight, nxt accumulates
-	// deliveries for tick t+1; finishTick swaps them by value, so the
-	// shards' Ports keep pointing at cur.
+	// deliveries for tick t+1; finishTick swaps them by value, so io keeps
+	// pointing at cur.
 	cur wirePlane
 	nxt wirePlane
 
@@ -339,11 +314,10 @@ type Engine struct {
 	// epoch never matches): hasStamp[v] == epoch when v holds a symbol
 	// delivered last tick; nextHasStamp[v] == epoch+1 when v was delivered
 	// one this tick (swapped with hasStamp per tick); enqStamp[v] ==
-	// epoch+1 when v is already on the next frontier. Workers write the
-	// last two by compare-and-swap, and the single winner per (node, tick)
-	// does the bookkeeping. When the 32-bit epoch reaches epochLimit
-	// (defaultEpochLimit; tests lower it), rebaseEpochs translates every
-	// plane down, preserving all relative distances.
+	// epoch+1 when v is already on the next frontier. The first write per
+	// (node, tick) does the bookkeeping. When the 32-bit epoch reaches
+	// epochLimit (defaultEpochLimit; tests lower it), rebaseEpochs
+	// translates every plane down, preserving all relative distances.
 	hasStamp     []uint32
 	nextHasStamp []uint32
 	enqStamp     []uint32
@@ -351,9 +325,8 @@ type Engine struct {
 	epochLimit   uint32
 
 	// The double-buffered frontier: frontier lists the nodes to step this
-	// tick in ascending order; frontierNext accumulates next tick's
-	// (merged from per-shard buffers after the barrier, then sorted and
-	// deduplicated against timing-wheel wakes).
+	// tick in ascending order; frontierNext accumulates next tick's (then
+	// sorted and deduplicated against timing-wheel wakes).
 	frontier     []int32
 	frontierNext []int32
 
@@ -382,8 +355,7 @@ type Engine struct {
 	seeded bool
 
 	// Root transcript capture, reused every tick: rootLive reports that
-	// the tick in flight filled rootIn/rootOut. Only the worker stepping
-	// the root writes them.
+	// the tick in flight filled rootIn/rootOut.
 	rootIn, rootOut []wire.Message
 	rootLive        bool
 
@@ -395,60 +367,18 @@ type Engine struct {
 	hasCrash bool
 	crashAt  []int
 
-	workers int     // resolved worker count (≥ 1)
-	parMin  int     // minimum per-tick work to fan out (resolved threshold)
-	seqSh   shard   // scratch shard for sequential ticks (its buffers persist)
-	shards  []shard // one per worker; shards[0] runs on the caller
-
-	// Persistent worker pool, started lazily at the first parallel tick
-	// and stopped when the run finishes (unless Options.RetainPool) or
-	// via Close. Each worker owns one start channel; completions funnel
-	// through the shared done channel, whose receives order every worker
-	// write before the merge.
-	poolUp  bool
-	startCh []chan struct{}
-	doneCh  chan struct{}
+	// The step context every node's pulse runs through: io is the Ports
+	// view (its out plane is kept blank between steps; stepNode clears the
+	// masks it routed), lives counts the nodes first-delivered a symbol
+	// this tick, and anyActive records that a genuinely active node
+	// stepped — the two tick tallies finishTick consumes.
+	io        Ports
+	lives     int
+	anyActive bool
 
 	tick  int
 	stats Stats
 	done  bool
-}
-
-// shard is one worker's contiguous slice of the tick's work — frontier
-// indices under sparse scheduling, node indices in Naive mode — plus its
-// private tick tallies, next-frontier appends, timing-wheel traffic
-// (wake records and stale-entry counts), and the Ports view its nodes step
-// through; all tallies are merged in shard-index order after the barrier,
-// so nothing depends on goroutine scheduling.
-type shard struct {
-	lo, hi    int
-	stepCalls int64
-	nonBlank  int64
-	lives     int64 // nodes first-delivered a symbol this tick
-	unwoke    int64 // pending wheel wakes invalidated by an early step
-	anyActive bool
-	panicked  any
-	dropped   int64     // symbols lost to fault injection this tick
-	next      []int32   // frontier appends for tick t+1 (sparse mode)
-	wakes     []wakeRec // timing-wheel appends (sparse mode)
-	// io's out plane is kept blank between steps (stepNode clears the
-	// masks it routed).
-	io Ports
-}
-
-// resetShard re-targets sh at the engine's planes with a blank δ-slot out
-// plane, keeping the capacity of its buffers.
-func (e *Engine) resetShard(sh *shard, lo, hi int) {
-	*sh = shard{lo: lo, hi: hi, next: sh.next[:0], wakes: sh.wakes[:0], io: sh.io}
-	sh.io.in = &e.cur
-	sh.io.out.resize(e.delta)
-}
-
-// wakeRec is one deferred wake: schedule node v hold+1 ticks after the tick
-// that recorded it.
-type wakeRec struct {
-	v    int32
-	hold int8
 }
 
 // Errors returned by Run.
@@ -481,13 +411,12 @@ func New(g *graph.Graph, opts Options, factory func(NodeInfo) Automaton) *Engine
 }
 
 // Reset re-targets the engine at g for a fresh run, recycling the node,
-// wire, shard, frontier, and transcript buffers (growing them only when g
+// wire, frontier, and transcript buffers (growing them only when g
 // needs more capacity) and re-initialising automata in place when they
 // implement Resettable. Every option — root, tick budget (recomputed when it
-// was defaulted), worker count, callbacks — is retained. A retained worker
-// pool (Options.RetainPool) survives the reset when the shard layout is
-// unchanged. The reused engine is observationally identical to a fresh
-// New: transcripts, statistics, and failures are bit-for-bit the same.
+// was defaulted), callbacks — is retained. The reused engine is
+// observationally identical to a fresh New: transcripts, statistics, and
+// failures are bit-for-bit the same.
 func (e *Engine) Reset(g *graph.Graph) { e.ResetRooted(g, e.opts.Root) }
 
 // ResetRooted is Reset with a new root index, for harnesses sweeping roots.
@@ -509,7 +438,8 @@ func (e *Engine) ResetRooted(g *graph.Graph, root int) {
 	}
 
 	e.resizeBuffers(n, delta)
-	e.resetWorkers(n)
+	e.io.in = &e.cur
+	e.io.out.resize(delta)
 	e.installFaults(n)
 
 	for v := 0; v < n; v++ {
@@ -601,54 +531,6 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// resetWorkers re-resolves the worker count and shard layout for n nodes. A
-// running pool survives only when the shard count is unchanged (the parked
-// workers hold pointers into e.shards, whose backing array is kept); any
-// layout change stops the pool, which restarts lazily at the next parallel
-// tick.
-func (e *Engine) resetWorkers(n int) {
-	e.resetShard(&e.seqSh, 0, 0)
-	w := e.opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	e.workers = w
-	if w <= 1 {
-		e.stopPool()
-		e.shards = nil
-		return
-	}
-	// The dispatch rule's threshold: an explicit test seam, else never
-	// for a pool that would time-slice cores, else the measured constant.
-	switch {
-	case e.opts.ParallelThreshold > 0:
-		e.parMin = e.opts.ParallelThreshold
-	case w > runtime.GOMAXPROCS(0):
-		e.parMin = int(^uint(0) >> 1)
-	default:
-		e.parMin = parallelCrossover
-	}
-	if len(e.shards) != w {
-		e.stopPool()
-		e.shards = sized(e.shards, w)
-	}
-	// Static node ranges for Naive mode; sparse ticks re-plan lo/hi over
-	// the frontier before every fan-out. The per-shard frontier buffers
-	// keep their capacity across resets.
-	per := (n + w - 1) / w
-	for i := range e.shards {
-		lo := i * per
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		e.resetShard(&e.shards[i], lo, hi)
-	}
-}
-
 // Graph returns the engine's topology (read-only by convention).
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
@@ -738,54 +620,40 @@ func (e *Engine) rootTerminated() bool {
 	return e.rootTerm != nil && e.rootTerm.Terminated()
 }
 
-// claimStamp claims plane[v] for the value next, reporting whether this
-// caller won the claim. A stale entry never equals next (epoch values
-// written to a plane strictly increase), so the claim is idempotent per
-// (node, tick). par selects the compare-and-swap path: several workers may
-// race the claim, and the single CAS winner does the bookkeeping — the
-// invariant every frontier and live-count guarantee rests on.
-func claimStamp(plane []uint32, v int, next uint32, par bool) bool {
-	if par {
-		cur := atomic.LoadUint32(&plane[v])
-		return cur != next && atomic.CompareAndSwapUint32(&plane[v], cur, next)
-	}
-	if plane[v] != next {
-		plane[v] = next
-		return true
-	}
-	return false
-}
-
 // markDelivery records that dst was handed a non-blank symbol this tick:
-// the first writer counts dst toward the tick's live total, and under
-// sparse scheduling dst joins the next frontier.
-func (e *Engine) markDelivery(dst int, sh *shard, par bool) {
-	if claimStamp(e.nextHasStamp, dst, e.epoch+1, par) {
-		sh.lives++
+// the first delivery counts dst toward the tick's live total, and under
+// sparse scheduling dst joins the next frontier. A stale stamp never equals
+// epoch+1 (epoch values written to a plane strictly increase), so each
+// claim is idempotent per (node, tick).
+func (e *Engine) markDelivery(dst int) {
+	if next := e.epoch + 1; e.nextHasStamp[dst] != next {
+		e.nextHasStamp[dst] = next
+		e.lives++
 	}
 	if e.sparse {
-		e.enqueueNext(dst, sh, par)
+		e.enqueueNext(dst)
 	}
 }
 
-// enqueueNext puts dst on the shard's next-frontier buffer unless some
-// writer already enqueued it this tick (stamp dedup).
-func (e *Engine) enqueueNext(dst int, sh *shard, par bool) {
-	if claimStamp(e.enqStamp, dst, e.epoch+1, par) {
-		sh.next = append(sh.next, int32(dst))
+// enqueueNext puts v on the next frontier unless it is already there this
+// tick (stamp dedup).
+func (e *Engine) enqueueNext(v int) {
+	if next := e.epoch + 1; e.enqStamp[v] != next {
+		e.enqStamp[v] = next
+		e.frontierNext = append(e.frontierNext, int32(v))
 	}
 }
 
-// stepNode executes one processor's pulse: Step through the shard's Ports
+// stepNode executes one processor's pulse: Step through the engine's Ports
 // view, emission routing and delivery bookkeeping, root transcript capture,
 // and consumed-plane clearing. All reads come from the tick-t planes (e.cur,
 // e.hasStamp) and all wire writes target the tick-t+1 planes (e.nxt,
-// e.nextHasStamp), so distinct nodes are independent and may run
-// concurrently. The out side's set slots are copied into e.nxt by route,
+// e.nextHasStamp), so the order nodes step in within a tick changes no
+// symbol. The out side's set slots are copied into e.nxt by route,
 // mask-gated. Under sparse scheduling the node re-enqueues itself while it
 // remains busy — the half of the frontier invariant that covers
 // busy-without-input processors (e.g. relays holding a speed-1 character).
-func (e *Engine) stepNode(v int, hasIn bool, sh *shard, par bool) {
+func (e *Engine) stepNode(v int, hasIn bool) {
 	delta := e.delta
 	base := v * delta
 	if e.crashed(v) {
@@ -799,7 +667,7 @@ func (e *Engine) stepNode(v int, hasIn bool, sh *shard, par bool) {
 		}
 		if e.sparse && e.wakeStamp[v] != 0 {
 			e.wakeStamp[v] = 0
-			sh.unwoke++
+			e.wheelLive--
 		}
 		return
 	}
@@ -808,14 +676,13 @@ func (e *Engine) stepNode(v int, hasIn bool, sh *shard, par bool) {
 		// Timing-wheel catch-up: a pending wake becomes stale the moment
 		// the node is stepped (an earlier delivery beat the timer), and
 		// aging skipped while the node was parked is replayed in bulk.
-		// wakeStamp/lastStep are written only by the worker that owns
-		// this node's step, so no synchronisation is needed. The Holder
-		// re-assertion is an itab-cache hit; only marked nodes pay it.
+		// The Holder re-assertion is an itab-cache hit; only marked nodes
+		// pay it.
 		if e.holderBits[v>>6]&(1<<(uint(v)&63)) != 0 {
 			hld = e.procs[v].(Holder)
 			if e.wakeStamp[v] != 0 {
 				e.wakeStamp[v] = 0
-				sh.unwoke++
+				e.wheelLive--
 			}
 			if last := e.lastStep[v]; last != 0 && e.epoch-last > 1 {
 				hld.AdvanceHold(int(e.epoch - last - 1))
@@ -823,10 +690,10 @@ func (e *Engine) stepNode(v int, hasIn bool, sh *shard, par bool) {
 			e.lastStep[v] = e.epoch
 		}
 	}
-	io := &sh.io
+	io := &e.io
 	io.base = base
 	e.procs[v].Step(io)
-	sh.stepCalls++
+	e.stats.StepCalls++
 	out := &io.out
 	nonBlankOut := false
 	for p := 0; p < delta; p++ {
@@ -848,13 +715,13 @@ func (e *Engine) stepNode(v int, hasIn bool, sh *shard, par bool) {
 			// Lost in flight: validated, then never delivered — the
 			// emitter's transcript still records the write, the receiver
 			// never learns of it.
-			sh.dropped++
+			e.stats.Dropped++
 			continue
 		}
 		dstNode := int(dst >> 8)
 		e.nxt.copySlot(dstNode*delta+int(dst&0xff), out, p)
-		e.markDelivery(dstNode, sh, par)
-		sh.nonBlank++
+		e.markDelivery(dstNode)
+		e.stats.NonBlankMessages++
 	}
 	if v == e.opts.Root && e.opts.Transcript != nil && (hasIn || nonBlankOut) {
 		// hasIn holds exactly when some in-port carries a non-blank
@@ -889,241 +756,73 @@ func (e *Engine) stepNode(v int, hasIn bool, sh *shard, par bool) {
 		case h < 0:
 			// Quiescent: scheduled again only by a delivery.
 		case h == 0:
-			e.enqueueNext(v, sh, par)
+			e.enqueueNext(v)
 		default:
 			if h > MaxHold {
 				h = MaxHold
 			}
-			e.scheduleWake(v, h, sh, par)
+			e.scheduleWake(v, h)
 		}
 	} else if e.procs[v].Busy() {
-		e.enqueueNext(v, sh, par)
+		e.enqueueNext(v)
 	}
 }
 
 // scheduleWake parks v on the timing wheel, due h+1 ticks after the tick in
-// flight. The wake stamp is written by the owning worker; under a parallel
-// tick the slot append and live-count update are deferred to the post-
-// barrier merge (shard-ordered), the sequential path applies them directly.
-func (e *Engine) scheduleWake(v, h int, sh *shard, par bool) {
+// flight.
+func (e *Engine) scheduleWake(v, h int) {
 	e.wakeStamp[v] = e.epoch + 1 + uint32(h)
-	if par {
-		sh.wakes = append(sh.wakes, wakeRec{v: int32(v), hold: int8(h)})
-		return
-	}
 	e.wheelLive++
 	slot := (e.tick + 1 + h) % wheelSlots
 	e.wheel[slot] = append(e.wheel[slot], int32(v))
 }
 
-// stepFrontier steps the given slice of the tick's frontier. Every frontier
-// node is genuinely active by construction — it was delivered a symbol last
-// tick, or it reported Busy() right after its previous step — so there is
-// no per-node skip test: the scheduler's work is exactly O(frontier).
-func (e *Engine) stepFrontier(nodes []int32, sh *shard, par bool) {
+// stepTick runs the pulse of the tick in flight, filling the tick tallies
+// (e.lives, e.anyActive) for finishTick. Under sparse scheduling it steps
+// the frontier: every frontier node is genuinely active by construction —
+// it was delivered a symbol last tick, or it reported Busy() right after
+// its previous step — so there is no per-node skip test and the work is
+// exactly O(frontier). Naive mode steps every node, the paper's model taken
+// literally: the dense reference the sparse scheduler is validated against,
+// whose per-node activity test feeds the quiescence check only.
+func (e *Engine) stepTick() {
+	e.lives, e.anyActive = 0, false
 	epoch := e.epoch
+	if !e.sparse {
+		for v := 0; v < e.g.N(); v++ {
+			hasIn := e.hasStamp[v] == epoch
+			if hasIn || (!e.crashed(v) && e.procs[v].Busy()) {
+				e.anyActive = true
+			}
+			e.stepNode(v, hasIn)
+		}
+		return
+	}
 	if e.hasCrash {
 		// With crashes, a frontier entry is not proof of activity: a dead
 		// node enqueued by a stale wake or a swallowed delivery must not
 		// hold off quiescence — the dense sweep would not count it either.
-		for _, v := range nodes {
+		for _, v := range e.frontier {
 			hasIn := e.hasStamp[v] == epoch
 			if hasIn || !e.crashed(int(v)) {
-				sh.anyActive = true
+				e.anyActive = true
 			}
-			e.stepNode(int(v), hasIn, sh, par)
+			e.stepNode(int(v), hasIn)
 		}
 		return
 	}
-	for _, v := range nodes {
-		e.stepNode(int(v), e.hasStamp[v] == epoch, sh, par)
+	for _, v := range e.frontier {
+		e.stepNode(int(v), e.hasStamp[v] == epoch)
 	}
-	if len(nodes) > 0 {
-		sh.anyActive = true
-	}
+	e.anyActive = len(e.frontier) > 0
 }
 
-// stepRangeDense is the Naive-mode pulse body: step every node in [lo, hi),
-// the paper's model taken literally. It is the dense reference the sparse
-// scheduler is validated against; its per-node activity test feeds the
-// quiescence check only.
-func (e *Engine) stepRangeDense(lo, hi int, sh *shard, par bool) {
-	epoch := e.epoch
-	for v := lo; v < hi; v++ {
-		hasIn := e.hasStamp[v] == epoch
-		if hasIn || (!e.crashed(v) && e.procs[v].Busy()) {
-			sh.anyActive = true
-		}
-		e.stepNode(v, hasIn, sh, par)
-	}
-}
-
-// stepSequential runs the whole pulse on the calling goroutine, reporting
-// whether any genuinely active node stepped and how many nodes were
-// first-delivered a symbol for the next tick.
-func (e *Engine) stepSequential() (bool, int) {
-	sh := &e.seqSh
-	sh.stepCalls, sh.nonBlank, sh.lives, sh.unwoke, sh.dropped, sh.anyActive = 0, 0, 0, 0, 0, false
-	if e.sparse {
-		// Append straight into the engine's next-frontier buffer; wheel
-		// traffic is applied in place (scheduleWake), only invalidations
-		// are tallied.
-		sh.next = e.frontierNext
-		e.stepFrontier(e.frontier, sh, false)
-		e.frontierNext = sh.next
-		sh.next = nil
-		e.wheelLive -= int(sh.unwoke)
-	} else {
-		e.stepRangeDense(0, e.g.N(), sh, false)
-	}
-	e.stats.StepCalls += sh.stepCalls
-	e.stats.NonBlankMessages += sh.nonBlank
-	e.stats.Dropped += sh.dropped
-	e.stats.SeqTicks++
-	return sh.anyActive, int(sh.lives)
-}
-
-// runShard executes one shard's slice of the pulse, converting a panic
-// (e.g. a model-validation failure) into a recorded value so the barrier
-// always completes; the merge re-raises it deterministically.
-func (e *Engine) runShard(sh *shard) {
-	defer func() {
-		if r := recover(); r != nil {
-			sh.panicked = r
-		}
-	}()
-	if e.sparse {
-		e.stepFrontier(e.frontier[sh.lo:sh.hi], sh, true)
-	} else {
-		e.stepRangeDense(sh.lo, sh.hi, sh, true)
-	}
-}
-
-// startPool launches the persistent workers for shards 1..W-1 (shard 0
-// always runs on the calling goroutine). Workers park on their start
-// channel between pulses, so a tick costs two channel hops per worker
-// rather than a goroutine spawn.
-func (e *Engine) startPool() {
-	e.doneCh = make(chan struct{})
-	e.startCh = make([]chan struct{}, len(e.shards)-1)
-	for i := range e.startCh {
-		ch := make(chan struct{}, 1)
-		e.startCh[i] = ch
-		sh := &e.shards[i+1]
-		go func() {
-			for range ch {
-				e.runShard(sh)
-				e.doneCh <- struct{}{}
-			}
-		}()
-	}
-	e.poolUp = true
-}
-
-// stopPool releases the worker goroutines. Idempotent; the engine restarts
-// the pool lazily if another parallel tick follows.
-func (e *Engine) stopPool() {
-	if !e.poolUp {
-		return
-	}
-	for _, ch := range e.startCh {
-		close(ch)
-	}
-	e.startCh, e.doneCh, e.poolUp = nil, nil, false
-}
-
-// releasePool is the end-of-run pool policy: stop the workers unless the
-// owner asked to retain them across Reset cycles (sessions). Panic unwinds
-// bypass this and always stop the pool, so an abandoned engine never leaks.
-func (e *Engine) releasePool() {
-	if !e.opts.RetainPool {
-		e.stopPool()
-	}
-}
-
-// Close releases the engine's worker goroutines. It is needed when a caller
-// abandons an engine mid-run, or owns a reusable engine (Options.RetainPool)
-// whose pool outlives individual runs. Close is idempotent and the engine
-// remains usable afterwards: the pool restarts lazily at the next parallel
-// tick.
-func (e *Engine) Close() { e.stopPool() }
-
-// stepParallel fans the pulse out across the shard workers. Under sparse
-// scheduling the (index-sorted) frontier is carved into contiguous shards
-// first, so the lowest-indexed active nodes always land in the lowest
-// shard; Naive mode keeps the static node ranges. Shard 0 runs on the
-// calling goroutine; the barrier orders every worker write before the
-// merge, which folds tallies and next-frontier appends in shard-index order
-// and re-raises the lowest-indexed worker panic so that failures are
-// deterministic too.
-func (e *Engine) stepParallel() (bool, int) {
-	if !e.poolUp {
-		e.startPool()
-	}
-	if e.sparse {
-		w := len(e.shards)
-		per := (len(e.frontier) + w - 1) / w
-		for i := range e.shards {
-			lo := min(i*per, len(e.frontier))
-			e.shards[i].lo = lo
-			e.shards[i].hi = min(lo+per, len(e.frontier))
-		}
-	}
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.stepCalls, sh.nonBlank, sh.lives, sh.unwoke, sh.dropped, sh.anyActive, sh.panicked = 0, 0, 0, 0, 0, false, nil
-		sh.next = sh.next[:0]
-		sh.wakes = sh.wakes[:0]
-	}
-	for _, ch := range e.startCh {
-		ch <- struct{}{}
-	}
-	e.runShard(&e.shards[0])
-	for range e.startCh {
-		<-e.doneCh
-	}
-	anyActive := false
-	lives := 0
-	for w := range e.shards {
-		sh := &e.shards[w]
-		if sh.panicked != nil {
-			// The tick's panic guard releases the pool on the way out.
-			panic(sh.panicked)
-		}
-		e.stats.StepCalls += sh.stepCalls
-		e.stats.NonBlankMessages += sh.nonBlank
-		e.stats.Dropped += sh.dropped
-		lives += int(sh.lives)
-		anyActive = anyActive || sh.anyActive
-		if e.sparse {
-			e.frontierNext = append(e.frontierNext, sh.next...)
-			e.wheelLive -= int(sh.unwoke)
-			for _, wk := range sh.wakes {
-				e.wheelLive++
-				slot := (e.tick + 1 + int(wk.hold)) % wheelSlots
-				e.wheel[slot] = append(e.wheel[slot], wk.v)
-			}
-		}
-	}
-	e.stats.ParTicks++
-	return anyActive, lives
-}
-
-// dispatchParallel reports whether the coming tick fans out across the
-// worker pool: the dispatch rule. The frontier *is* the tick's work set, so
-// the decision is exact; in Naive mode every node steps. Both paths produce
-// identical state, so mixing them within a run preserves the determinism
-// guarantee.
-func (e *Engine) dispatchParallel() bool {
-	if e.workers <= 1 {
-		return false
-	}
-	work := len(e.frontier)
-	if !e.sparse {
-		work = e.g.N()
-	}
-	return work > 0 && work >= e.parMin
-}
+// Close does nothing: the engine holds no goroutines or other resources
+// beyond memory.
+//
+// Deprecated: kept so existing callers compile; there is nothing to
+// release.
+func (e *Engine) Close() {}
 
 // epochBase is the epoch value rebaseEpochs restarts at. It exceeds the
 // largest backward distance the stamp logic ever consults — lastStep is
@@ -1184,46 +883,52 @@ func (e *Engine) promoteFrontier() {
 	e.frontier, e.frontierNext = next, e.frontier[:0]
 }
 
-// finishTick closes the tick in flight: root transcript delivery, activity
-// accounting, plane swaps, frontier promotion, observers, and the
-// quiescence check. It is shared verbatim by the per-tick path (RunOne) and
-// the sequential burst, which is what keeps both dispatch paths
-// bit-identical in its observables.
-func (e *Engine) finishTick(anyActive bool, lives int) (bool, error) {
-	if e.rootLive {
-		e.rootLive = false
-		e.opts.Transcript(TranscriptEntry{Tick: e.tick, In: e.rootIn, Out: e.rootOut})
-	}
-
-	// The tick's live total was counted at delivery time (stamp winners),
-	// never by scanning nodes. Swap the wire and stamp planes, advance
-	// the epoch, and promote the merged, sorted next frontier. Inputs
-	// consumed this tick were already cleared node-locally in stepNode;
-	// the stamp planes need no clearing at all (stale epochs never match).
-	if lives > e.stats.MaxActive {
-		e.stats.MaxActive = lives
-	}
-	e.cur, e.nxt = e.nxt, e.cur
-	e.hasStamp, e.nextHasStamp = e.nextHasStamp, e.hasStamp
+// advanceClock moves the global clock to the next tick: the epoch (rebased
+// when it reaches the limit), the tick counter, the frontier promotion, and
+// the observers. finishTick and advanceIdleTick share it.
+func (e *Engine) advanceClock() {
 	e.epoch++
 	if e.epoch >= e.epochLimit {
 		e.rebaseEpochs()
 	}
 	e.tick++
 	e.stats.Ticks = e.tick
+	e.stats.SeqTicks++
 	if e.sparse {
 		e.promoteFrontier()
 	}
-
 	for _, ob := range e.opts.Observers {
 		ob.AfterTick(e.tick-1, e)
 	}
+}
+
+// finishTick closes the tick stepTick ran: root transcript delivery,
+// activity accounting, plane swaps, the clock advance, and the quiescence
+// check. It is shared verbatim by RunOne and Run's burst loop, which is
+// what keeps the two bit-identical in their observables.
+func (e *Engine) finishTick() (bool, error) {
+	if e.rootLive {
+		e.rootLive = false
+		e.opts.Transcript(TranscriptEntry{Tick: e.tick, In: e.rootIn, Out: e.rootOut})
+	}
+
+	// The tick's live total was counted at delivery time (first stamp
+	// writes), never by scanning nodes. Swap the wire and stamp planes and
+	// advance the clock. Inputs consumed this tick were already cleared
+	// node-locally in stepNode; the stamp planes need no clearing at all
+	// (stale epochs never match).
+	if e.lives > e.stats.MaxActive {
+		e.stats.MaxActive = e.lives
+	}
+	e.cur, e.nxt = e.nxt, e.cur
+	e.hasStamp, e.nextHasStamp = e.nextHasStamp, e.hasStamp
+	e.advanceClock()
 
 	// Quiescence: under sparse scheduling an empty next frontier with an
 	// empty timing wheel *is* global quiescence (no symbol in flight, no
 	// busy processor — busy nodes re-enqueue themselves or park a wake);
 	// the dense path sweeps, as it must.
-	quiet := !anyActive
+	quiet := !e.anyActive
 	if quiet {
 		if e.sparse {
 			quiet = len(e.frontier) == 0 && e.wheelLive == 0
@@ -1233,11 +938,24 @@ func (e *Engine) finishTick(anyActive bool, lives int) (bool, error) {
 	}
 	if quiet {
 		e.done = true
-		e.releasePool()
 		if e.opts.StopWhenQuiescent || e.rootTerminated() {
 			return false, nil
 		}
 		return false, ErrDeadlock
+	}
+	return true, nil
+}
+
+// canTick runs the checks that precede every tick: it reports false, with
+// the run's outcome, when the root has terminated or the tick budget is
+// spent.
+func (e *Engine) canTick() (bool, error) {
+	if e.rootTerminated() {
+		e.done = true
+		return false, nil
+	}
+	if e.tick >= e.opts.MaxTicks {
+		return false, fmt.Errorf("%w (tick %d)", ErrMaxTicks, e.tick)
 	}
 	return true, nil
 }
@@ -1251,128 +969,20 @@ func (e *Engine) RunOne() (bool, error) {
 	if !e.seeded {
 		e.seedFrontier()
 	}
-	if e.rootTerminated() {
-		e.done = true
-		e.releasePool()
-		return false, nil
+	if ok, err := e.canTick(); !ok {
+		return false, err
 	}
-	if e.tick >= e.opts.MaxTicks {
-		e.releasePool()
-		return false, fmt.Errorf("%w (tick %d)", ErrMaxTicks, e.tick)
-	}
-	if e.workers > 1 {
-		// Any panic escaping the tick — a worker panic re-raised by the
-		// merge, a sequential-tick validation failure, or a Transcript/
-		// Observer callback — must release the parked pool on the way
-		// out: harnesses recover engine panics and abandon the engine.
-		defer func() {
-			if r := recover(); r != nil {
-				e.stopPool()
-				panic(r)
-			}
-		}()
-	}
-
 	if e.hasCrash {
 		e.purgeCrashWakes()
 	}
-	var anyActive bool
-	var lives int
-	if e.dispatchParallel() {
-		anyActive, lives = e.stepParallel()
-	} else {
-		anyActive, lives = e.stepSequential()
-	}
-	return e.finishTick(anyActive, lives)
+	e.stepTick()
+	return e.finishTick()
 }
 
-// advanceIdleTick executes a globally idle tick — empty frontier, pending
-// timing-wheel wakes — in O(1): no deliveries are outstanding, so the wire
-// planes are blank on both sides and the stamp planes stale on both sides;
-// advancing the epoch is equivalent to the swaps a full tick would perform.
-// Observers still fire, the tick still counts, and the due wheel slot is
-// still promoted, so the tick is indistinguishable from a dispatched one.
-func (e *Engine) advanceIdleTick() {
-	e.epoch++
-	if e.epoch >= e.epochLimit {
-		e.rebaseEpochs()
-	}
-	e.tick++
-	e.stats.Ticks = e.tick
-	e.stats.SeqTicks++
-	e.promoteFrontier()
-	for _, ob := range e.opts.Observers {
-		ob.AfterTick(e.tick-1, e)
-	}
-}
-
-// burstCancelInterval is how many burst ticks run between Options.Cancel
-// polls: bursts trade per-tick cancellation for dispatch cost, keeping
+// burstCancelInterval is how many ticks Run executes between Options.Cancel
+// polls: bursts trade per-tick cancellation for loop overhead, keeping
 // cancellation latency bounded by a few microseconds of simulated ticks.
 const burstCancelInterval = 64
-
-// runBurst is the sequential path of Run: ticks run back-to-back on the
-// calling goroutine with no shard carving, no pool dispatch, and no
-// per-tick panic guard, and globally idle ticks collapse to an O(1) clock
-// advance. The loop returns to Run only when the dispatch rule calls for a
-// fan-out, the run ends (terminal, quiescent, budget), or the cancellation
-// poll fails; Observer and Transcript callbacks still fire on every tick
-// boundary, and an Observer calling Wake is honoured on the very next tick
-// (the frontier is re-read every iteration). State evolution is shared with
-// RunOne (stepSequential + finishTick), so a burst changes wall-clock only,
-// never an observable.
-func (e *Engine) runBurst() (bool, error) {
-	e.stats.Bursts++
-	if e.workers > 1 {
-		// One pool guard per burst instead of per tick: a panic escaping
-		// any tick of the burst still releases the parked pool.
-		defer func() {
-			if r := recover(); r != nil {
-				e.stopPool()
-				panic(r)
-			}
-		}()
-	}
-	cancel := e.opts.Cancel
-	for n := 1; ; n++ {
-		// The rule is read before every tick, including one right after
-		// an idle jump, whose promoted wheel slot (and any Wake an
-		// Observer called) may reach the crossover.
-		if e.dispatchParallel() {
-			return true, nil
-		}
-		if e.rootTerminated() {
-			e.done = true
-			e.releasePool()
-			return false, nil
-		}
-		if e.tick >= e.opts.MaxTicks {
-			e.releasePool()
-			return false, fmt.Errorf("%w (tick %d)", ErrMaxTicks, e.tick)
-		}
-		if cancel != nil && n%burstCancelInterval == 0 {
-			if err := cancel(); err != nil {
-				e.releasePool()
-				return false, fmt.Errorf("sim: run cancelled at tick %d: %w", e.tick, err)
-			}
-		}
-		if e.hasCrash {
-			// Void dead nodes' parked wakes before the idle check, or a
-			// crash landing mid-stretch would keep the clock advancing
-			// past the quiescence the dense path declares immediately.
-			e.purgeCrashWakes()
-		}
-		if len(e.frontier) == 0 && e.wheelLive > 0 {
-			e.advanceIdleTick()
-			continue
-		}
-		anyActive, lives := e.stepSequential()
-		more, err := e.finishTick(anyActive, lives)
-		if err != nil || !more {
-			return more, err
-		}
-	}
-}
 
 // anyPending reports whether any symbol is in flight or any processor busy:
 // the Naive-mode quiescence sweep (the sparse path derives the same answer
@@ -1388,34 +998,55 @@ func (e *Engine) anyPending() bool {
 
 // Run executes ticks until the root terminates, the network quiesces, the
 // tick budget is exhausted, or Options.Cancel reports cancellation, and
-// returns the statistics. A tick the dispatch rule fans out runs through
-// RunOne; every other tick runs in a sequential burst (see runBurst).
+// returns the statistics. The ticks run back to back in one loop on the
+// calling goroutine (a burst), and globally idle ticks collapse to an O(1)
+// clock advance; Observer and Transcript callbacks still fire on every tick
+// boundary, and an Observer calling Wake is honoured on the very next tick
+// (the frontier is re-read every iteration). State evolution is shared with
+// RunOne (stepTick + finishTick), so Run changes wall-clock only, never an
+// observable.
 func (e *Engine) Run() (Stats, error) {
-	for {
-		if e.opts.Cancel != nil {
-			if err := e.opts.Cancel(); err != nil {
-				e.releasePool()
+	cancel := e.opts.Cancel
+	if cancel != nil {
+		if err := cancel(); err != nil {
+			return e.stats, fmt.Errorf("sim: run cancelled at tick %d: %w", e.tick, err)
+		}
+	}
+	if e.done {
+		return e.stats, nil
+	}
+	if !e.seeded {
+		e.seedFrontier()
+	}
+	e.stats.Bursts++
+	for n := 1; ; n++ {
+		if ok, err := e.canTick(); !ok {
+			return e.stats, err
+		}
+		if cancel != nil && n%burstCancelInterval == 0 {
+			if err := cancel(); err != nil {
 				return e.stats, fmt.Errorf("sim: run cancelled at tick %d: %w", e.tick, err)
 			}
 		}
-		if e.done {
-			return e.stats, nil
+		if e.hasCrash {
+			// Void dead nodes' parked wakes before the idle check, or a
+			// crash landing mid-stretch would keep the clock advancing
+			// past the quiescence the dense path declares immediately.
+			e.purgeCrashWakes()
 		}
-		if !e.seeded {
-			e.seedFrontier()
+		if len(e.frontier) == 0 && e.wheelLive > 0 {
+			// A globally idle tick — empty frontier, pending wheel wakes —
+			// runs in O(1): no deliveries are outstanding, so the wire
+			// planes are blank and the stamp planes stale on both sides,
+			// and the clock advance is equivalent to the swaps a stepped
+			// tick would perform. Observers still fire, the tick still
+			// counts, and the due wheel slot is still promoted.
+			e.advanceClock()
+			continue
 		}
-		var more bool
-		var err error
-		if e.dispatchParallel() {
-			more, err = e.RunOne()
-		} else {
-			more, err = e.runBurst()
-		}
-		if err != nil {
+		e.stepTick()
+		if more, err := e.finishTick(); err != nil || !more {
 			return e.stats, err
-		}
-		if !more {
-			return e.stats, nil
 		}
 	}
 }

@@ -153,8 +153,8 @@ func TestEngineStatsCountMessages(t *testing.T) {
 	}
 }
 
-// transcriptEquivalence runs the full protocol twice — naive engine vs
-// activity-tracked engine — and demands byte-identical transcripts: the
+// TestNaiveVsTrackedTranscripts runs the full protocol twice — naive engine
+// vs activity-tracked engine — and demands byte-identical transcripts: the
 // optimisation must be observationally invisible.
 func TestNaiveVsTrackedTranscripts(t *testing.T) {
 	for _, tc := range []struct {
@@ -241,5 +241,43 @@ func TestPendingInExposesWireTraffic(t *testing.T) {
 	_, _ = eng.Run()
 	if !sawKill {
 		t.Fatal("observer should see the pulse on the wire")
+	}
+}
+
+// TestRunOnePendingInMatchesDeliveries drives the full protocol tick by
+// tick through RunOne with an observer reading every wire through
+// PendingIn between ticks: the engine must be consistent at each tick
+// boundary, so the observer sees exactly the symbols the engine delivered.
+func TestRunOnePendingInMatchesDeliveries(t *testing.T) {
+	g := graph.Torus(4, 4)
+	var observed int64
+	eng := sim.New(g, sim.Options{
+		MaxTicks: 4_000_000,
+		Observers: []sim.Observer{sim.ObserverFunc(func(tick int, e *sim.Engine) {
+			for v := 0; v < g.N(); v++ {
+				for p := 1; p <= g.Delta(); p++ {
+					if m := e.PendingIn(v, p); !m.IsBlank() {
+						observed++
+					}
+				}
+			}
+		})},
+	}, gtd.NewFactory(gtd.DefaultConfig()))
+	ticks := 0
+	for {
+		more, err := eng.RunOne()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more {
+			break
+		}
+		ticks++
+	}
+	if ticks == 0 || observed == 0 {
+		t.Fatalf("expected a live run, got %d ticks / %d observed symbols", ticks, observed)
+	}
+	if observed != eng.Stats().NonBlankMessages {
+		t.Fatalf("observer saw %d pending symbols, engine delivered %d", observed, eng.Stats().NonBlankMessages)
 	}
 }

@@ -47,7 +47,6 @@ func SendBackward(g *Graph, from, inPort int, payload Payload, opts Options) (*B
 		Root:              opts.Root,
 		MaxTicks:          opts.MaxTicks,
 		Validate:          opts.Validate,
-		Workers:           opts.Workers,
 		StopWhenQuiescent: true,
 	}, gtd.NewFactory(cfg))
 	if err := eng.Automaton(from).(*gtd.Processor).StartBCA(inPort, payload); err != nil {
@@ -111,7 +110,6 @@ func SignalRoot(g *Graph, from int, forward bool, out, in int, opts Options) (*R
 		Root:              opts.Root,
 		MaxTicks:          opts.MaxTicks,
 		Validate:          opts.Validate,
-		Workers:           opts.Workers,
 		StopWhenQuiescent: true,
 		Transcript:        rec.process,
 	}, gtd.NewFactory(cfg))

@@ -8,7 +8,6 @@ import (
 
 func TestSessionRemapChain(t *testing.T) {
 	s := topomap.NewSession(topomap.Options{})
-	defer s.Close()
 	base := topomap.Ring(48)
 	prev, err := s.Map(base)
 	if err != nil {
@@ -50,7 +49,6 @@ func TestSessionRemapChain(t *testing.T) {
 
 func TestSessionRemapFallback(t *testing.T) {
 	s := topomap.NewSession(topomap.Options{})
-	defer s.Close()
 	prev, err := s.Map(topomap.Ring(32))
 	if err != nil {
 		t.Fatal(err)

@@ -10,9 +10,8 @@ import (
 
 // ServiceOptions configures NewService.
 type ServiceOptions struct {
-	// Options apply to every run the service performs. As with MapBatch,
-	// services usually leave Workers at 1 and scale across Sessions: job
-	// concurrency carries the parallelism without per-tick barriers.
+	// Options apply to every run the service performs. Each run executes
+	// on one goroutine; the service scales across Sessions.
 	Options
 	// Sessions is the number of warm mapping sessions — the service's
 	// run-level concurrency. 0 uses runtime.GOMAXPROCS(0).

@@ -14,10 +14,10 @@ import (
 // bit-identical to a direct Map of the same graph.
 func TestServiceMapMatchesMap(t *testing.T) {
 	graphs := []*topomap.Graph{topomap.Ring(16), topomap.Torus(4, 4), topomap.Kautz(2, 2)}
-	svc := topomap.NewService(topomap.ServiceOptions{Sessions: 2, Options: topomap.Options{Workers: 1}})
+	svc := topomap.NewService(topomap.ServiceOptions{Sessions: 2})
 	defer svc.Close()
 	for i, g := range graphs {
-		want, err := topomap.Map(g, topomap.Options{Workers: 1})
+		want, err := topomap.Map(g, topomap.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestServiceMapMatchesMap(t *testing.T) {
 // TestServiceAsyncJobs: submit-then-await with per-job roots and progress
 // streaming through the public API.
 func TestServiceAsyncJobs(t *testing.T) {
-	svc := topomap.NewService(topomap.ServiceOptions{Sessions: 1, Options: topomap.Options{Workers: 1}})
+	svc := topomap.NewService(topomap.ServiceOptions{Sessions: 1})
 	defer svc.Close()
 	g := topomap.Ring(24)
 	root := 7
@@ -87,7 +87,6 @@ func TestServiceBackpressureAndCancel(t *testing.T) {
 	svc := topomap.NewService(topomap.ServiceOptions{
 		Sessions:   1,
 		QueueDepth: 1,
-		Options:    topomap.Options{Workers: 1},
 	})
 	defer svc.Close()
 	slow, err := svc.Submit(context.Background(), topomap.Ring(256), topomap.JobOptions{})
@@ -126,7 +125,7 @@ func TestServiceBackpressureAndCancel(t *testing.T) {
 // TestServiceCloseIdempotent covers the shutdown satellite at the public
 // level: double Close, Drain after Close, submit after Close.
 func TestServiceCloseIdempotent(t *testing.T) {
-	svc := topomap.NewService(topomap.ServiceOptions{Sessions: 1, Options: topomap.Options{Workers: 1}})
+	svc := topomap.NewService(topomap.ServiceOptions{Sessions: 1})
 	if _, err := svc.Map(context.Background(), topomap.Ring(8)); err != nil {
 		t.Fatal(err)
 	}
@@ -145,26 +144,4 @@ func TestServiceCloseIdempotent(t *testing.T) {
 	if !svc.Stats().Closed {
 		t.Fatal("stats must report closed")
 	}
-}
-
-// TestSessionCloseIdempotent pins the documented public Session.Close
-// contract: idempotent, and a closed session keeps mapping (the engine pool
-// restarts lazily).
-func TestSessionCloseIdempotent(t *testing.T) {
-	g := topomap.Torus(4, 4)
-	s := topomap.NewSession(topomap.Options{Workers: 2})
-	want, err := s.Map(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s.Close()            // double Close must be a no-op
-	got, err := s.Map(g) // and the session must keep working after it
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Ticks != want.Ticks || !got.Topology.Equal(want.Topology) {
-		t.Fatal("session diverged after Close")
-	}
-	s.Close()
 }

@@ -31,39 +31,27 @@
 //     root),
 //   - LowerBound helpers reproducing the paper's Ω(N log N) argument.
 //
-// # Sparse scheduling, parallel execution, and determinism
+// # Sparse scheduling and determinism
 //
 // The simulation engine schedules each global pulse from a sparse frontier:
 // only processors that were delivered a symbol, or that stayed busy after
 // their previous step, are stepped at all, so a tick costs O(active) rather
 // than O(N) — the protocol keeps per-pulse activity bounded by transaction
-// structure, not network size.
-//
-// The engine is also multi-core: within one global pulse every
-// processor reads the symbols delivered at tick t and writes symbols for
-// tick t+1, so a pulse is embarrassingly parallel and the engine shards the
-// frontier across a worker pool with double-buffered wire state.
-// Options.Workers selects the pool size — 0 (the default) uses
-// runtime.GOMAXPROCS(0), 1 forces the sequential path, and any other value
-// sizes the pool explicitly.
-//
-// One dispatch rule needs no tuning: a tick fans out across the pool only
-// when its frontier reaches a crossover measured on real windows, and every
-// other tick runs in a sequential burst with near-zero per-tick overhead.
-// Dormant processors (busy but provably inactive for a known number of
-// ticks, e.g. relays holding speed-1 characters) are parked on a timing
-// wheel instead of being stepped every tick, and globally idle ticks
-// collapse to an O(1) clock advance. Results are bit-identical either way.
+// structure, not network size. Dormant processors (busy but provably
+// inactive for a known number of ticks, e.g. relays holding speed-1
+// characters) are parked on a timing wheel instead of being stepped every
+// tick, and globally idle ticks collapse to an O(1) clock advance. A run
+// executes its ticks back to back on the calling goroutine; concurrency
+// lives one level up, in MapBatch and NewService, which run many sessions
+// at once.
 //
 // The determinism guarantee: for a fixed graph, root, and speed
 // configuration, every run produces a bit-identical root transcript,
-// reconstruction, tick count, message count, and step count, regardless of
-// Workers. Worker-local updates (message tallies, activity tracking) are
-// merged in a fixed shard order after each pulse's barrier, so no
-// observable of a run depends on goroutine scheduling. The equivalence is
-// enforced by tests that compare parallel (2, 4, 8 workers) against
-// sequential transcripts across graph families and seeds, and the engine
-// suite runs under the race detector in CI.
+// reconstruction, tick count, message count, and step count, and the
+// engine steps a tick's processors in ascending node order, so protocol
+// events arrive in the same order on every run too. The equivalence is
+// enforced by tests that compare the burst loop against per-tick stepping
+// and sparse against dense scheduling across graph families and seeds.
 //
 // The simulation substrate, snake/token data structures, protocol automaton
 // and transcript decoder live in internal packages; see DESIGN.md for the
@@ -189,19 +177,13 @@ type Options struct {
 	// Speeds overrides the paper's speed assignment (ablation only);
 	// nil uses the defaults.
 	Speeds *Speeds
-	// Workers is the number of goroutines the engine steps processors
-	// with inside each global pulse. 0 (the default) uses
-	// runtime.GOMAXPROCS(0); 1 forces the sequential engine. Every value
-	// produces a bit-identical transcript and statistics — see the
-	// package documentation for the determinism guarantee.
-	Workers int
 	// Faults, if non-nil, injects hostile run conditions — deterministic
 	// per-wire message loss and fail-stop node crashes — into the
 	// simulated network (robustness measurement; E17). The protocol is
 	// not fault-tolerant: a faulted run typically fails with a deadlock
 	// or tick-budget error rather than completing. Fault injection
 	// preserves the determinism guarantee: the same plan yields the same
-	// outcome for every worker count.
+	// outcome on every run.
 	Faults *FaultPlan
 }
 
@@ -241,7 +223,6 @@ func (o Options) coreOptions(cfg *gtd.Config) core.Options {
 		Root:     o.Root,
 		MaxTicks: o.MaxTicks,
 		Validate: o.Validate,
-		Workers:  o.Workers,
 		Config:   cfg,
 		Faults:   o.Faults,
 	}
@@ -294,18 +275,16 @@ func Verify(g *Graph, root int, mapped *Graph) bool {
 
 // Session is a reusable mapping context: the simulation engine, the automata,
 // the wire buffers, and the transcript decoder are reset in place between
-// Map calls instead of being reallocated, and the engine's parallel worker
-// pool stays parked between runs. Ensemble studies and family sweeps that
+// Map calls instead of being reallocated. Ensemble studies and family sweeps that
 // map thousands of graphs should prefer a Session (or MapBatch) over
 // repeated Map calls: the steady state allocates almost nothing per run.
 //
 // The determinism guarantee extends verbatim to reuse — a reused session
 // produces bit-identical transcripts, reconstructions, and statistics to a
-// fresh engine, for every graph and worker count (tested).
+// fresh engine, for every graph (tested).
 //
 // A Session maps one graph at a time and is not safe for concurrent use;
-// run one session per goroutine (MapBatch does exactly that). Call Close
-// when done to release the engine's worker pool.
+// run one session per goroutine (MapBatch does exactly that).
 type Session struct {
 	inner *core.Session
 	// remapTopo/remapState memoize the remap state of the last
@@ -343,16 +322,16 @@ func (s *Session) finish(res *core.RunResult, err error) (*Result, error) {
 	return newResult(res), nil
 }
 
-// Close releases the session's engine worker pool. It is idempotent, and a
-// closed session may keep mapping (the pool restarts lazily).
-func (s *Session) Close() { s.inner.Close() }
+// Close does nothing: a session holds no goroutines or other resources
+// beyond memory.
+//
+// Deprecated: kept so existing callers compile; there is nothing to
+// release.
+func (s *Session) Close() {}
 
 // BatchOptions configures MapBatch.
 type BatchOptions struct {
-	// Options apply to every run of the batch. Workers is the per-run
-	// engine parallelism; batches usually leave it at 1 and scale through
-	// Sessions instead, since run-level concurrency has no fan-out
-	// barrier per tick.
+	// Options apply to every run of the batch.
 	Options
 	// Sessions is the number of concurrent mapping sessions (the bounded
 	// worker pool of the batch). 0 uses runtime.GOMAXPROCS(0); the pool
