@@ -148,8 +148,8 @@ func TestBurstTranscriptEveryTick(t *testing.T) {
 
 // TestWakeDuringBurst: an Observer arming an automaton mid-burst and
 // calling Wake must have the node stepped on the very next tick, exactly
-// once — including when Wake is called twice, where the frontier's stamp
-// dedup makes it idempotent.
+// once — including when Wake is called twice, where Wake's binary search
+// finds the node already in the frontier.
 func TestWakeDuringBurst(t *testing.T) {
 	g := graph.TwoCycle()
 	tk := &ticker{left: 40}

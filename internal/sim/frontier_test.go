@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -526,5 +527,154 @@ func TestFrontierSparseIterationsRing1024(t *testing.T) {
 	if stats.StepCalls*10 > dense {
 		t.Fatalf("sparse iterations %d vs dense %d: less than the required 10× drop (%.1f×)",
 			stats.StepCalls, dense, float64(dense)/float64(stats.StepCalls))
+	}
+}
+
+// scriptedHolder is a Holder driven by an absolute-tick script: it needs
+// stepping on its own at the ticks in wakeAt, emits a KILL on out-port p at
+// the ticks in emit[p], and logs every sparse step into a shared log. Its
+// Hold is the distance to its next own tick from its last step, so a
+// delivery that steps it early leaves a stale wake behind on the timing
+// wheel. Emissions depend on the tick alone, so Naive mode's extra steps
+// are no-ops, as the Holder contract requires.
+type scriptedHolder struct {
+	script
+	node int
+	last int
+	tick func() int
+	log  *[][2]int // (tick, node) per step; nil under Naive
+}
+
+type script struct {
+	wakeAt []int
+	emit   [3][]int // by out-port; index 0 unused
+}
+
+func (s *scriptedHolder) next() int {
+	for _, t := range s.wakeAt {
+		if t > s.last {
+			return t
+		}
+	}
+	return -1
+}
+
+func (s *scriptedHolder) Busy() bool { return s.next() >= 0 }
+func (s *scriptedHolder) Hold() int {
+	if n := s.next(); n >= 0 {
+		return n - s.last - 1
+	}
+	return -1
+}
+func (s *scriptedHolder) AdvanceHold(int) {}
+func (s *scriptedHolder) Step(io *sim.Ports) {
+	now := s.tick()
+	s.last = now
+	if s.log != nil {
+		*s.log = append(*s.log, [2]int{now, s.node})
+	}
+	for p := 1; p <= 2; p++ {
+		if slices.Contains(s.emit[p], now) {
+			io.SetKill(p)
+		}
+	}
+}
+
+// TestFrontierBitmapBoundaries schedules nodes at the next-frontier
+// bitmap's word boundaries (63|64, 127|128), its summary boundary
+// (4095|4096) and the last node of a 4200-node ring by every route at once.
+// Each target's dedicated sender (two nodes ahead, over a chord into
+// in-port 2) delivers to it at ticks 9, 10 and 20. At tick 10 the target
+// is delivered a symbol, re-enqueued (its step at 9 reports hold 0), has a
+// stale wake due on the timing wheel (parked at 5 for 10, voided by the
+// delivery at 9), and is Woken; at tick 20 it is delivered a symbol, due
+// on the wheel (parked at 10) and Woken. Every tick must step its nodes in
+// strictly ascending order — each target exactly once — and Run, a RunOne
+// loop and Naive must agree on the transcript and statistics.
+func TestFrontierBitmapBoundaries(t *testing.T) {
+	const n = 4200
+	targets := []int{63, 64, 127, 128, 4095, 4096, n - 1}
+	const idle = 2 // not scheduled by anything but Wake
+	g := graph.Ring(n)
+	scripts := map[int]script{}
+	for _, v := range targets {
+		// Ring successors hear the targets (node 0 hears node n-1, so the
+		// root transcript records ticks 11 and 21).
+		scripts[v] = script{wakeAt: []int{0, 5, 10, 20}, emit: [3][]int{1: {10, 20}}}
+	}
+	for _, v := range targets {
+		s := (v + 2) % n
+		g.MustConnect(s, 2, v, 2)
+		scripts[s] = script{wakeAt: []int{0, 8, 9, 19}, emit: [3][]int{2: {8, 9, 19}}}
+	}
+
+	run := func(naive bool, drive func(*sim.Engine) (sim.Stats, error)) (string, [][2]int) {
+		var rec transcriptRecorder
+		var log [][2]int
+		var eng *sim.Engine
+		wake := sim.ObserverFunc(func(tick int, e *sim.Engine) {
+			if tick == 9 || tick == 19 {
+				for _, v := range targets {
+					e.Wake(v)
+				}
+				e.Wake(idle)
+			}
+		})
+		eng = sim.New(g, sim.Options{
+			MaxTicks:          1000,
+			Naive:             naive,
+			StopWhenQuiescent: true,
+			Transcript:        rec.record,
+			Observers:         []sim.Observer{wake},
+		}, func(info sim.NodeInfo) sim.Automaton {
+			a := &scriptedHolder{script: scripts[info.Index], node: info.Index, last: -1,
+				tick: func() int { return eng.Tick() }}
+			if !naive {
+				a.log = &log
+			}
+			return a
+		})
+		stats, err := drive(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&rec.b, "stats: ticks=%d msgs=%d maxactive=%d dropped=%d\n",
+			stats.Ticks, stats.NonBlankMessages, stats.MaxActive, stats.Dropped)
+		if !naive {
+			fmt.Fprintf(&rec.b, "steps=%d\n", stats.StepCalls)
+		}
+		return rec.b.String(), log
+	}
+
+	burst, burstLog := run(false, (*sim.Engine).Run)
+	loop, loopLog := run(false, runOneLoop)
+	if loop != burst || !slices.Equal(loopLog, burstLog) {
+		t.Fatalf("Run diverges from a RunOne loop:\nRun:\n%s%v\nRunOne:\n%s%v", burst, burstLog, loop, loopLog)
+	}
+	dense, _ := run(true, (*sim.Engine).Run)
+	if sparse, _, _ := strings.Cut(burst, "steps="); sparse != dense {
+		t.Fatalf("sparse diverges from Naive:\nsparse:\n%s\nNaive:\n%s", sparse, dense)
+	}
+	if !strings.Contains(dense, "11:i0=") || !strings.Contains(dense, "21:i0=") {
+		t.Fatalf("root transcript misses node %d's ticks-10 and 20 emissions:\n%s", n-1, dense)
+	}
+
+	for i := 1; i < len(burstLog); i++ {
+		if prev, cur := burstLog[i-1], burstLog[i]; cur[0] < prev[0] || cur[0] == prev[0] && cur[1] <= prev[1] {
+			t.Fatalf("step %v follows %v: a tick's nodes must step once each, in ascending order", cur, prev)
+		}
+	}
+	for _, hot := range []int{10, 20} {
+		var stepped []int
+		for _, s := range burstLog {
+			if s[0] == hot {
+				stepped = append(stepped, s[1])
+			}
+		}
+		for _, v := range append(targets, idle) {
+			if !slices.Contains(stepped, v) {
+				t.Fatalf("tick %d: node %d did not step (stepped %v)", hot, v, stepped)
+			}
+		}
 	}
 }

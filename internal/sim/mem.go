@@ -10,11 +10,11 @@ type MemInfo struct {
 	// WireBytes covers both packed wire-plane buffer sides (mask and
 	// payload planes) plus the routing table and wired-port flags.
 	WireBytes int64
-	// StampBytes covers the five epoch-stamp planes.
+	// StampBytes covers the four epoch-stamp planes.
 	StampBytes int64
-	// SchedBytes covers the scheduler state: frontier buffers, timing
-	// wheel, holder cache, automaton table, and the step context's δ-slot
-	// out plane.
+	// SchedBytes covers the scheduler state: the frontier buffer, the
+	// next-frontier bitmap and its summary, timing wheel, holder cache,
+	// automaton table, and the step context's δ-slot out plane.
 	SchedBytes int64
 	// TotalBytes is the sum of the above. It excludes the automata
 	// themselves (owned by the factory; see gtd.Arena.FootprintBytes)
@@ -32,15 +32,15 @@ func (e *Engine) Mem() MemInfo {
 	m.WireBytes = e.cur.bytes() + e.nxt.bytes() +
 		int64(cap(e.route))*4
 
-	m.StampBytes = int64(cap(e.hasStamp)+cap(e.nextHasStamp)+cap(e.enqStamp)+
+	m.StampBytes = int64(cap(e.hasStamp)+cap(e.nextHasStamp)+
 		cap(e.wakeStamp)+cap(e.lastStep)) * 4
 
 	const ptrSize = 8 // interface headers and slice elements on 64-bit targets
-	m.SchedBytes = int64(cap(e.frontier)+cap(e.frontierNext)) * 4
+	m.SchedBytes = int64(cap(e.frontier)) * 4
 	for i := range e.wheel {
 		m.SchedBytes += int64(cap(e.wheel[i])) * 4
 	}
-	m.SchedBytes += int64(cap(e.holderBits)) * 8
+	m.SchedBytes += int64(cap(e.holderBits)+cap(e.nextBits)+cap(e.nextSum)) * 8
 	m.SchedBytes += int64(cap(e.procs)) * 2 * ptrSize
 	m.SchedBytes += int64(cap(e.crashAt)) * ptrSize
 	m.SchedBytes += e.io.out.bytes()

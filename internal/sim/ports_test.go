@@ -190,14 +190,17 @@ func TestPortsRoundTrip(t *testing.T) {
 // one δ-slot out plane is charged at the planes' 17 packed bytes per slot
 // (2 mask + 6 grow + 6 die + 2 loop + 1 dfs), like both wire-plane sides.
 // Before any run the frontier and wheel buffers are empty, so a fresh
-// engine's scheduler bytes are exactly the holder bitmap, the automaton
-// table (two words per interface), and that out plane.
+// engine's scheduler bytes are exactly three bitmaps — the holder marks,
+// the next frontier (one bit per node) and its summary (one bit per
+// frontier word) — the automaton table (two words per interface), and that
+// out plane.
 func TestMemChargesPackedOutPlanes(t *testing.T) {
 	g := graph.Hypercube(4) // δ = 4
 	n, delta := g.N(), g.Delta()
 	m := sim.New(g, sim.Options{}, func(sim.NodeInfo) sim.Automaton { return &sinkNode{} }).Mem()
-	if want := int64((n+63)/64*8 + n*16 + 17*delta); m.SchedBytes != want {
-		t.Fatalf("scheduler bytes %d, want %d (holder bitmap + automaton table + one out plane of δ=%d slots)",
+	words := (n + 63) / 64
+	if want := int64(2*words*8 + (words+63)/64*8 + n*16 + 17*delta); m.SchedBytes != want {
+		t.Fatalf("scheduler bytes %d, want %d (holder and frontier bitmaps + summary + automaton table + one out plane of δ=%d slots)",
 			m.SchedBytes, want, delta)
 	}
 	if want := int64(2*17*n*delta + 4*n*delta); m.WireBytes != want {

@@ -16,10 +16,13 @@
 // Goldstein's protocol keeps only a handful of processors non-quiescent per
 // pulse (§2, Lemma 4.4), so each tick steps a sparse frontier instead of all
 // N nodes: the processors holding a symbol delivered at t-1 plus those
-// stepped at t-1 that still report Busy(), maintained incrementally and
-// deduplicated by per-node epoch stamps, so a tick costs O(active). Naive
-// mode steps every processor every tick (the dense reference path); the two
-// are tested to produce identical transcripts, statistics, and failures.
+// stepped at t-1 that still report Busy(). Each is marked in a
+// one-bit-per-node bitmap as it is scheduled (a second mark is a no-op), and
+// the tick boundary reads the marks back out in ascending order through a
+// summary level with one bit per non-zero bitmap word, so a tick costs
+// O(active + N/4096) and needs no sort. Naive mode steps every processor
+// every tick (the dense reference path); the two are tested to produce
+// identical transcripts, statistics, and failures.
 //
 // # One goroutine, bursts, and hold timers
 //
@@ -40,6 +43,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"topomap/internal/graph"
@@ -313,22 +317,23 @@ type Engine struct {
 	// Epoch-stamped activity planes, never cleared between ticks (a stale
 	// epoch never matches): hasStamp[v] == epoch when v holds a symbol
 	// delivered last tick; nextHasStamp[v] == epoch+1 when v was delivered
-	// one this tick (swapped with hasStamp per tick); enqStamp[v] ==
-	// epoch+1 when v is already on the next frontier. The first write per
+	// one this tick (swapped with hasStamp per tick). The first write per
 	// (node, tick) does the bookkeeping. When the 32-bit epoch reaches
 	// epochLimit (defaultEpochLimit; tests lower it), rebaseEpochs
 	// translates every plane down, preserving all relative distances.
 	hasStamp     []uint32
 	nextHasStamp []uint32
-	enqStamp     []uint32
 	epoch        uint32
 	epochLimit   uint32
 
-	// The double-buffered frontier: frontier lists the nodes to step this
-	// tick in ascending order; frontierNext accumulates next tick's (then
-	// sorted and deduplicated against timing-wheel wakes).
-	frontier     []int32
-	frontierNext []int32
+	// The frontier: frontier lists the nodes to step this tick in
+	// ascending order, without duplicates. Next tick's is a bitmap —
+	// nextBits has bit v set when v is scheduled, nextSum bit w when
+	// nextBits[w] is non-zero — that promoteFrontier reads out in
+	// ascending order and clears, so it is all zero between ticks.
+	frontier []int32
+	nextBits []uint64
+	nextSum  []uint64
 
 	// The timing wheel parks dormant-but-busy Holder nodes in the slot of
 	// their wake tick. wakeStamp[v] is the epoch v's single pending wake
@@ -473,7 +478,6 @@ func (e *Engine) ResetRooted(g *graph.Graph, root int) {
 	e.rootLive = false
 	e.epoch = 1
 	e.frontier = e.frontier[:0]
-	e.frontierNext = e.frontierNext[:0]
 	for i := range e.wheel {
 		e.wheel[i] = e.wheel[i][:0]
 	}
@@ -499,10 +503,13 @@ func (e *Engine) resizeBuffers(n, delta int) {
 	// otherwise collide with a future epoch of this one.
 	e.hasStamp = zeroed(e.hasStamp, n)
 	e.nextHasStamp = zeroed(e.nextHasStamp, n)
-	e.enqStamp = zeroed(e.enqStamp, n)
 	e.wakeStamp = zeroed(e.wakeStamp, n)
 	e.lastStep = zeroed(e.lastStep, n)
 	e.holderBits = zeroed(e.holderBits, (n+63)/64)
+	// The next-frontier bitmap is clear between ticks, but a run that
+	// panicked mid-tick can leave marks behind.
+	e.nextBits = zeroed(e.nextBits, (n+63)/64)
+	e.nextSum = zeroed(e.nextSum, (n+4095)/4096)
 
 	// Keep automata from shrunken runs in the slice's spare capacity so a
 	// later growth recovers (and resets) them instead of reconstructing.
@@ -567,51 +574,43 @@ func (e *Engine) FrontierLen() int { return len(e.frontier) }
 // must be woken or it will not be scheduled until a symbol arrives.
 //
 // Wake is safe and idempotent for a node already scheduled for the coming
-// tick — the frontier's epoch stamp deduplicates the insert, whether the
-// node got there by delivery, by a busy re-enqueue, by a timing-wheel wake,
-// or by an earlier Wake — and waking an idle node is harmless (its Step is
-// a no-op by the Automaton contract). Wake must not be called while a tick
-// is executing; tick boundaries inside a sequential burst are legal call
-// sites (an Observer calling Wake mid-burst has the node stepped on the
-// very next tick, exactly once — the burst loop re-reads the frontier every
-// iteration). In Naive mode Wake is a no-op since every node steps anyway.
+// tick — the binary search that places it in the sorted frontier finds it
+// there, whether the node got there by delivery, by a busy re-enqueue, by a
+// timing-wheel wake, or by an earlier Wake — and waking an idle node is
+// harmless (its Step is a no-op by the Automaton contract). Wake must not
+// be called while a tick is executing; tick boundaries inside a sequential
+// burst are legal call sites (an Observer calling Wake mid-burst has the
+// node stepped on the very next tick, exactly once — the burst loop
+// re-reads the frontier every iteration). In Naive mode Wake is a no-op
+// since every node steps anyway.
 func (e *Engine) Wake(v int) {
 	if !e.sparse || v < 0 || v >= e.g.N() {
 		return
 	}
 	if !e.seeded {
-		// The pre-run seed scan will pick the node up (and would skip
-		// it here via the stamp anyway).
+		// The pre-run seed scan will pick the node up.
 		return
 	}
-	if e.enqStamp[v] != e.epoch {
-		e.enqStamp[v] = e.epoch
-		e.frontier = insertSorted(e.frontier, int32(v))
+	if i, found := slices.BinarySearch(e.frontier, int32(v)); !found {
+		e.frontier = slices.Insert(e.frontier, i, int32(v))
 	}
-}
-
-// insertSorted inserts v into ascending-sorted s, preserving order.
-func insertSorted(s []int32, v int32) []int32 {
-	i, _ := slices.BinarySearch(s, v)
-	return slices.Insert(s, i, v)
 }
 
 // seedFrontier collects the initial frontier: every processor reporting
 // Busy() before the first tick (in gtd, the kicked root and any externally
 // armed standalone initiators). This is the one full scan of the sparse
-// path, and it runs once per run, not per tick.
+// path, and it runs once per run, not per tick; it visits nodes in
+// ascending order, so the frontier comes out sorted.
 func (e *Engine) seedFrontier() {
 	e.seeded = true
 	if !e.sparse {
 		return
 	}
 	for v := 0; v < e.g.N(); v++ {
-		if e.enqStamp[v] != e.epoch && e.procs[v].Busy() {
-			e.enqStamp[v] = e.epoch
+		if e.procs[v].Busy() {
 			e.frontier = append(e.frontier, int32(v))
 		}
 	}
-	slices.Sort(e.frontier)
 }
 
 // rootTerminated reports whether the root automaton has reached its terminal
@@ -635,13 +634,11 @@ func (e *Engine) markDelivery(dst int) {
 	}
 }
 
-// enqueueNext puts v on the next frontier unless it is already there this
-// tick (stamp dedup).
+// enqueueNext puts v on the next frontier: it sets v's bit and its word's
+// summary bit, so a node scheduled twice is marked once.
 func (e *Engine) enqueueNext(v int) {
-	if next := e.epoch + 1; e.enqStamp[v] != next {
-		e.enqStamp[v] = next
-		e.frontierNext = append(e.frontierNext, int32(v))
-	}
+	e.nextBits[v>>6] |= 1 << (uint(v) & 63)
+	e.nextSum[v>>12] |= 1 << (uint(v>>6) & 63)
 }
 
 // stepNode executes one processor's pulse: Step through the engine's Ports
@@ -845,7 +842,7 @@ const defaultEpochLimit = ^uint32(0) - 2*epochBase
 // epoch can equal again) preserves each comparison bit for bit.
 func (e *Engine) rebaseEpochs() {
 	shift := e.epoch - epochBase
-	for _, plane := range [][]uint32{e.hasStamp, e.nextHasStamp, e.enqStamp, e.wakeStamp, e.lastStep} {
+	for _, plane := range [][]uint32{e.hasStamp, e.nextHasStamp, e.wakeStamp, e.lastStep} {
 		for i, s := range plane {
 			if s > shift {
 				plane[i] = s - shift
@@ -858,29 +855,43 @@ func (e *Engine) rebaseEpochs() {
 }
 
 // promoteFrontier installs the frontier for the tick the engine has just
-// advanced to: the deliveries and hold-0 re-enqueues accumulated last tick,
+// advanced to: the deliveries and hold-0 re-enqueues marked last tick,
 // merged with the timing-wheel slot now due. Stale wheel entries (their
 // node was stepped early, invalidating the stamp) are dropped; live ones
-// claim the enqueue stamp so a subsequent Wake deduplicates against them,
-// and the merged set is sorted and compacted so a node scheduled by both a
-// delivery and a timer steps exactly once.
+// are marked like any other enqueue, so a node scheduled by both a
+// delivery and a timer steps exactly once. The bitmap is then read out in
+// ascending word order, visiting only the words the summary marks, and
+// cleared as it is read: the frontier comes out sorted and duplicate-free.
 func (e *Engine) promoteFrontier() {
-	next := e.frontierNext
 	slot := &e.wheel[e.tick%wheelSlots]
 	if len(*slot) > 0 {
 		for _, v := range *slot {
 			if e.wakeStamp[v] == e.epoch {
 				e.wakeStamp[v] = 0
-				e.enqStamp[v] = e.epoch
 				e.wheelLive--
-				next = append(next, v)
+				e.enqueueNext(int(v))
 			}
 		}
 		*slot = (*slot)[:0]
 	}
-	slices.Sort(next)
-	next = slices.Compact(next)
-	e.frontier, e.frontierNext = next, e.frontier[:0]
+	next := e.frontier[:0]
+	for s, sum := range e.nextSum {
+		if sum == 0 {
+			continue
+		}
+		e.nextSum[s] = 0
+		for sum != 0 {
+			w := s<<6 | bits.TrailingZeros64(sum)
+			sum &= sum - 1
+			word := e.nextBits[w]
+			e.nextBits[w] = 0
+			for word != 0 {
+				next = append(next, int32(w<<6|bits.TrailingZeros64(word)))
+				word &= word - 1
+			}
+		}
+	}
+	e.frontier = next
 }
 
 // advanceClock moves the global clock to the next tick: the epoch (rebased
